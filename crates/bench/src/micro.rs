@@ -219,10 +219,11 @@ pub fn register_parallel_sweep(c: &mut Criterion) {
         );
     }
     // Raw claim/reduce cost of the chunked work-stealing dispatcher at an
-    // exact worker count (`run_trials_on` bypasses the core clamp, so the
+    // exact worker count (`RunOpts::workers` bypasses the core clamp, so the
     // two-worker machinery is measured even on a single-core runner).
     group.bench_function("engine_dispatch_4k_trials", |b| {
-        b.iter(|| iac_sim::engine::run_trials_on(4096, 2, |i| (i as u64).wrapping_mul(3)))
+        let opts = iac_sim::engine::RunOpts::workers(2);
+        b.iter(|| iac_sim::engine::run_trials_with(4096, opts, |i| (i as u64).wrapping_mul(3)))
     });
     group.finish();
 }

@@ -8,7 +8,7 @@
 //! execution-dependent byte (timing, progress, telemetry) goes to stderr or
 //! to the requested export files, never to stdout.
 
-use crate::engine::Deadline;
+use crate::engine::{Deadline, RunOpts};
 use crate::experiment::DEFAULT_SEED;
 use crate::obs::SweepObs;
 use crate::registry::{self, Quality};
@@ -39,10 +39,11 @@ pub struct SweepArgs {
     /// Announce each scenario on stderr before running it.
     pub progress: bool,
     /// Wall-clock budget for the whole sweep, in seconds. The deadline is
-    /// checked cooperatively between replicates (the daemon's machinery,
-    /// [`crate::engine::run_trials_deadline`]): on expiry the current
-    /// scenario reports its completed prefix, remaining scenarios are
-    /// skipped, and the sweep exits with [`SweepOutcome::TimedOut`].
+    /// checked cooperatively between replicates ([`RunOpts::deadline`]): on
+    /// expiry the current scenario reports its completed prefix, remaining
+    /// scenarios are skipped, and the sweep exits with
+    /// [`SweepOutcome::TimedOut`]. Telemetry exports still cover every
+    /// completed replicate.
     pub timeout_secs: Option<u64>,
 }
 
@@ -98,8 +99,7 @@ pub const USAGE: &str = "usage: sweep [--scenario <name>|all] [--replicates N] [
               current scenario reports the replicates completed so far,\n\
               remaining scenarios are skipped, and sweep exits 124.\n\
               Checked between replicates — a started replicate always\n\
-              finishes. Scenario-level telemetry folding is skipped on\n\
-              the deadline path (exports still written, engine facts only)";
+              finishes. --metrics/--trace cover the completed replicates";
 
 /// Parse `--seed`: decimal or 0x-prefixed hex.
 pub fn parse_seed(s: &str) -> Option<u64> {
@@ -234,38 +234,27 @@ pub fn run_sweep(
             )?;
         }
         let started = Instant::now();
-        let report = if deadline.is_bounded() {
-            // The daemon's deadline machinery: stop claiming replicates
-            // once the budget is gone, report the completed prefix.
-            let (report, complete) = registry::run_scenario_deadline(
-                spec,
-                args.quality,
-                args.seed,
-                replicates,
-                args.threads,
-                deadline,
-            );
-            if !complete {
-                writeln!(
-                    stderr,
-                    "[timeout] {}: {} of {} replicates completed before the deadline",
-                    spec.name, report.replicates, replicates
-                )?;
-                timed_out = true;
-            }
-            report
-        } else if telemetry {
-            registry::run_scenario_observed(
-                spec,
-                args.quality,
-                args.seed,
-                replicates,
-                args.threads,
-                &mut obs,
-            )
-        } else {
-            registry::run_scenario(spec, args.quality, args.seed, replicates, args.threads)
+        let opts = RunOpts {
+            deadline,
+            observe: telemetry,
+            ..RunOpts::threads(args.threads)
         };
+        let run =
+            registry::run_scenario_with(spec, args.quality, args.seed, replicates, opts);
+        if telemetry {
+            obs.record_scenario(spec.name, &run.engine, &run.trials);
+        }
+        let report = run.report;
+        if !run.complete {
+            // The daemon's deadline machinery: the engine stopped claiming
+            // replicates once the budget was gone; report the prefix.
+            writeln!(
+                stderr,
+                "[timeout] {}: {} of {} replicates completed before the deadline",
+                spec.name, report.replicates, replicates
+            )?;
+            timed_out = true;
+        }
         // Timing is execution-dependent — stderr only, so stdout stays
         // bit-identical across thread counts.
         writeln!(
@@ -396,5 +385,32 @@ mod tests {
             SweepOutcome::Completed
         );
         assert_eq!(plain, bounded, "a deadline that never fires must not change stdout");
+    }
+
+    #[test]
+    fn timeout_and_metrics_apply_together() {
+        let path = std::env::temp_dir().join(format!(
+            "iac_cli_timeout_metrics_{}_{}.json",
+            std::process::id(),
+            if iac_obs::ENABLED { "on" } else { "off" }
+        ));
+        let args = SweepArgs {
+            scenario: "des_campus".to_string(),
+            replicates: Some(2),
+            threads: 1,
+            timeout_secs: Some(3600),
+            metrics_path: Some(path.display().to_string()),
+            ..SweepArgs::default()
+        };
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        assert_eq!(
+            run_sweep(&args, &mut out, &mut err).unwrap(),
+            SweepOutcome::Completed
+        );
+        let metrics = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        for key in ["\"engine.des_campus.trials\":2", "\"des.events_processed\":"] {
+            assert!(metrics.contains(key), "missing {key} in {metrics}");
+        }
     }
 }

@@ -1,37 +1,72 @@
-//! Record/replay plumbing for the DES scenarios.
+//! Record/replay plumbing for the DES scenarios, and the trait they
+//! register through.
 //!
-//! A registry-level DES trial (`des_campus`, `des_load`) is a sequence of
-//! one or more *constituent* [`NetSim`] runs — one for the campus scenario,
-//! two per swept load (IAC and the 802.11-MIMO baseline) for the load
-//! sweep. This module enumerates those runs for a `(scenario, quality,
-//! trial seed)` triple so that each can be recorded to an event log,
-//! replayed from one under bit-exact verification, and the scenario's
-//! [`TrialOutput`] reconstructed from the replayed outcomes. Because spec
-//! construction and report derivation are pure functions of the
-//! configuration (see `des_campus::spec_for` / `des_load::point_spec`), the
-//! reconstruction is the *same code path* the live registry entry uses — a
-//! replayed trial cannot drift from a live one without the replay checker
+//! A registry-level DES trial (`des_campus`, `des_load`, the `rob_*`
+//! family) is a sequence of one or more *constituent* [`NetSim`] runs — one
+//! for the campus scenario, two per swept load (IAC and the 802.11-MIMO
+//! baseline) for the load sweep. Each scenario says so once, in its own
+//! module, by implementing [`DesScenario`]: its config from
+//! `(Quality, seed)`, its constituent runs, and its report and
+//! [`TrialOutput`] from their outcomes. Everything else is generic and
+//! lives here: the registry's plain and observed trial (each outcome
+//! reduced as its run completes), the name-keyed [`des_runs`] /
+//! [`trial_output_from`] pair that record and replay use, and
+//! [`DesRun::execute`], the one way to run a constituent simulation with
+//! any [`Tap`]. Because spec construction and report derivation are pure
+//! functions of the configuration, a replayed trial takes the *same code
+//! path* as a live one — it cannot drift without the replay checker
 //! noticing first.
 //!
-//! Consumers: `examples/replay.rs` (the record/replay/diff CLI), the
-//! `replay_roundtrip` integration suite, and the replay goldens.
+//! Consumers: the registry (one [`DesEntry`] per DES row),
+//! `examples/replay.rs` (the record/replay/diff CLI), the serve daemon's
+//! audit trail, the `replay_roundtrip` integration suite, and the replay
+//! goldens.
 
-use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome};
-use crate::registry::{Quality, TrialOutput};
+use crate::netsim::{self, CalibratedPhy, DesRunFacts, NetSim, NetSimOutcome, Tap};
+use crate::obs::TrialFacts;
+use crate::registry::{self, Quality, TrialOutput};
 use crate::scenarios::{des_campus, des_load, robustness};
-use iac_des::{Divergence, EventLog};
+use iac_des::{Divergence, EventRecorder};
 
 /// The registered scenarios that support record/replay (every DES scenario
 /// in the registry, including the fault-injecting `rob_*` family — faults
 /// are ordinary logged events, so a faulty run records and replays exactly
 /// like a clean one).
 pub const DES_SCENARIOS: &[&str] = &[
-    "des_campus",
-    "des_load",
-    "rob_ap_churn",
-    "rob_backhaul_partition",
-    "rob_csi_aging",
+    des_campus::CampusConfig::NAME,
+    des_load::LoadSweepConfig::NAME,
+    robustness::ChurnConfig::NAME,
+    robustness::PartitionConfig::NAME,
+    robustness::CsiAgingConfig::NAME,
 ];
+
+/// A discrete-event scenario, implemented once by its config type.
+pub trait DesScenario: Sized {
+    /// Registry name (also the record/replay key).
+    const NAME: &'static str;
+    /// The scenario's full report.
+    type Report;
+    /// The registry's sizing rule: `quick(seed)` or `paper_default(seed)`.
+    fn config(quality: Quality, seed: u64) -> Self;
+    /// The constituent runs of one trial, in a stable order (PHY pool
+    /// calibration happens here).
+    fn runs(&self) -> Vec<DesRun>;
+    /// Reduce the outcomes of [`runs`](Self::runs), in order, to the
+    /// report. `outcomes` is lazy on the live path — pulling one runs its
+    /// simulation — so reduce each before pulling the next (see
+    /// [`next_outcome`]).
+    fn report(&self, outcomes: impl Iterator<Item = NetSimOutcome>) -> Self::Report;
+    /// The trial's registry metrics from its report.
+    fn output(report: &Self::Report) -> TrialOutput;
+}
+
+/// The next outcome of a [`DesScenario::report`] iterator.
+///
+/// # Panics
+/// Panics if the outcomes ran out (fewer outcomes than runs).
+pub fn next_outcome(outcomes: &mut impl Iterator<Item = NetSimOutcome>) -> NetSimOutcome {
+    outcomes.next().expect("fewer outcomes than the scenario has runs")
+}
 
 /// One constituent simulation run of a DES trial.
 pub struct DesRun {
@@ -43,48 +78,100 @@ pub struct DesRun {
     pub phy: CalibratedPhy,
 }
 
-/// The campus config for a quality/seed pair (the registry's sizing rule).
-pub fn campus_config(quality: Quality, trial_seed: u64) -> des_campus::CampusConfig {
-    match quality {
-        Quality::Quick => des_campus::CampusConfig::quick(trial_seed),
-        Quality::Paper => des_campus::CampusConfig::paper_default(trial_seed),
+impl DesRun {
+    /// Run this simulation with `tap` in the observer slot (see
+    /// [`netsim::run_netsim`]); the facts carry the run's label. Only a
+    /// [`Tap::Replay`] run can fail.
+    pub fn execute(&self, tap: Tap<'_>) -> Result<(NetSimOutcome, DesRunFacts), Box<Divergence>> {
+        let (out, mut facts) = netsim::run_netsim(&self.spec, self.phy.clone(), tap)?;
+        facts.label.clone_from(&self.label);
+        Ok((out, facts))
     }
 }
 
-/// The load-sweep config for a quality/seed pair (the registry's sizing
-/// rule).
-pub fn load_config(quality: Quality, trial_seed: u64) -> des_load::LoadSweepConfig {
-    match quality {
-        Quality::Quick => des_load::LoadSweepConfig::quick(trial_seed),
-        Quality::Paper => des_load::LoadSweepConfig::paper_default(trial_seed),
+/// Run one constituent simulation with an in-memory recorder; returns the
+/// encoded event log alongside the outcome (identical to an unrecorded
+/// run's — the recorder is a passive observer).
+pub fn record(run: &DesRun) -> (Vec<u8>, NetSimOutcome) {
+    let (recorder, sink) = EventRecorder::in_memory();
+    let (out, _) = run
+        .execute(Tap::Record(&recorder))
+        .expect("a recording run cannot diverge");
+    recorder.finish().expect("in-memory sink cannot fail");
+    (sink.take(), out)
+}
+
+/// `report`, then check every outcome was consumed.
+fn reduce<S: DesScenario>(
+    config: &S,
+    mut outcomes: impl Iterator<Item = NetSimOutcome>,
+) -> S::Report {
+    let report = config.report(outcomes.by_ref());
+    assert!(outcomes.next().is_none(), "{}: more outcomes than runs", S::NAME);
+    report
+}
+
+/// Run every constituent simulation of `config` and reduce it to the
+/// report, each outcome as its run completes. With `observe` each run
+/// carries the event-kind counter and its facts are collected.
+fn run_all<S: DesScenario>(config: &S, observe: bool) -> (S::Report, Vec<DesRunFacts>) {
+    let mut facts = Vec::new();
+    let runs = config.runs();
+    let outcomes = runs.iter().map(|run| {
+        let tap = if observe { Tap::Kinds } else { Tap::None };
+        let (out, f) = run.execute(tap).expect("only a replay can diverge");
+        if observe {
+            facts.push(f);
+        }
+        out
+    });
+    let report = reduce(config, outcomes);
+    (report, facts)
+}
+
+/// Run a DES scenario plainly to its report (the per-module `run`
+/// functions).
+pub(crate) fn run_report<S: DesScenario>(config: &S) -> S::Report {
+    run_all(config, false).0
+}
+
+/// One registry trial of `S`, optionally observed: the output is
+/// bit-identical either way (pinned by `tests/obs_invariance.rs`).
+pub(crate) fn trial<S: DesScenario>(
+    quality: Quality,
+    seed: u64,
+    observe: bool,
+) -> (TrialOutput, TrialFacts) {
+    let (report, des_runs) = run_all(&S::config(quality, seed), observe);
+    (S::output(&report), TrialFacts { des_runs })
+}
+
+/// A DES scenario's entry points, generated from its [`DesScenario`] impl
+/// and carried on its registry row ([`registry::Scenario::des`]).
+#[derive(Clone, Copy)]
+pub struct DesEntry {
+    pub(crate) runs: fn(Quality, u64) -> Vec<DesRun>,
+    pub(crate) trial: fn(Quality, u64, bool) -> (TrialOutput, TrialFacts),
+    pub(crate) output_from: fn(Quality, u64, Vec<NetSimOutcome>) -> TrialOutput,
+}
+
+impl DesEntry {
+    /// The entry points of `S`.
+    pub(crate) fn of<S: DesScenario>() -> Self {
+        DesEntry {
+            runs: |quality, seed| S::config(quality, seed).runs(),
+            trial: trial::<S>,
+            output_from: |quality, seed, outcomes| {
+                S::output(&reduce(&S::config(quality, seed), outcomes.into_iter()))
+            },
+        }
     }
 }
 
-/// The AP-churn config for a quality/seed pair (the registry's sizing
-/// rule).
-pub fn churn_config(quality: Quality, trial_seed: u64) -> robustness::ChurnConfig {
-    match quality {
-        Quality::Quick => robustness::ChurnConfig::quick(trial_seed),
-        Quality::Paper => robustness::ChurnConfig::paper_default(trial_seed),
-    }
-}
-
-/// The backhaul-partition config for a quality/seed pair (the registry's
-/// sizing rule).
-pub fn partition_config(quality: Quality, trial_seed: u64) -> robustness::PartitionConfig {
-    match quality {
-        Quality::Quick => robustness::PartitionConfig::quick(trial_seed),
-        Quality::Paper => robustness::PartitionConfig::paper_default(trial_seed),
-    }
-}
-
-/// The CSI-aging config for a quality/seed pair (the registry's sizing
-/// rule).
-pub fn aging_config(quality: Quality, trial_seed: u64) -> robustness::CsiAgingConfig {
-    match quality {
-        Quality::Quick => robustness::CsiAgingConfig::quick(trial_seed),
-        Quality::Paper => robustness::CsiAgingConfig::paper_default(trial_seed),
-    }
+fn entry(name: &str) -> DesEntry {
+    registry::find(name)
+        .and_then(|s| s.des)
+        .unwrap_or_else(|| panic!("no DES scenario named {name:?} (see desrec::DES_SCENARIOS)"))
 }
 
 /// Enumerate the constituent runs of one DES trial, in a stable order
@@ -94,221 +181,7 @@ pub fn aging_config(quality: Quality, trial_seed: u64) -> robustness::CsiAgingCo
 /// # Panics
 /// Panics if `name` is not in [`DES_SCENARIOS`].
 pub fn des_runs(name: &str, quality: Quality, trial_seed: u64) -> Vec<DesRun> {
-    match name {
-        "des_campus" => {
-            let cfg = campus_config(quality, trial_seed);
-            vec![DesRun {
-                label: "campus".to_string(),
-                spec: des_campus::spec_for(&cfg),
-                phy: des_campus::phy_for(&cfg),
-            }]
-        }
-        "des_load" => {
-            let cfg = load_config(quality, trial_seed);
-            let (iac_phy, mimo_phy) = des_load::phys_for(&cfg);
-            let mut runs = Vec::with_capacity(2 * cfg.loads_pps.len());
-            for &load in &cfg.loads_pps {
-                runs.push(DesRun {
-                    label: format!("iac_{load:04.0}"),
-                    spec: des_load::point_spec(&cfg, load, true),
-                    phy: iac_phy.clone(),
-                });
-                runs.push(DesRun {
-                    label: format!("mimo_{load:04.0}"),
-                    spec: des_load::point_spec(&cfg, load, false),
-                    phy: mimo_phy.clone(),
-                });
-            }
-            runs
-        }
-        "rob_ap_churn" => {
-            let cfg = churn_config(quality, trial_seed);
-            vec![DesRun {
-                label: "churn".to_string(),
-                spec: robustness::churn_spec(&cfg),
-                phy: robustness::churn_phy(&cfg),
-            }]
-        }
-        "rob_backhaul_partition" => {
-            let cfg = partition_config(quality, trial_seed);
-            vec![DesRun {
-                label: "partition".to_string(),
-                spec: robustness::partition_spec(&cfg),
-                phy: robustness::partition_phy(&cfg),
-            }]
-        }
-        "rob_csi_aging" => {
-            let cfg = aging_config(quality, trial_seed);
-            let (iac_phys, mimo_phy) = robustness::aging_phys(&cfg);
-            let mut runs = Vec::with_capacity(1 + cfg.severities);
-            runs.push(DesRun {
-                label: "mimo".to_string(),
-                spec: robustness::aging_mimo_spec(&cfg),
-                phy: mimo_phy,
-            });
-            for (level, phy) in iac_phys.into_iter().enumerate() {
-                runs.push(DesRun {
-                    label: format!("iac_s{level}"),
-                    spec: robustness::aging_iac_spec(&cfg, level),
-                    phy,
-                });
-            }
-            runs
-        }
-        other => panic!("no DES scenario named {other:?} (see desrec::DES_SCENARIOS)"),
-    }
-}
-
-/// Run one constituent simulation without recording.
-pub fn run_plain(run: &DesRun) -> NetSimOutcome {
-    netsim::run_netsim(&run.spec, run.phy.clone())
-}
-
-/// Run one constituent simulation with the passive kind-counting observer
-/// attached and its telemetry facts harvested. The outcome is identical to
-/// [`run_plain`]'s.
-pub fn run_observed(run: &DesRun) -> (NetSimOutcome, netsim::DesRunFacts) {
-    let (out, mut facts) = netsim::run_netsim_observed(&run.spec, run.phy.clone());
-    facts.label.clone_from(&run.label);
-    (out, facts)
-}
-
-/// One full trial with telemetry: every constituent run observed, the
-/// [`TrialOutput`] reconstructed through [`trial_output_from`] — the same
-/// pure path replay verification uses, so the output is bit-identical to
-/// the live registry entry's (pinned by `tests/obs_invariance.rs`).
-pub fn observed_trial(
-    name: &str,
-    quality: Quality,
-    trial_seed: u64,
-) -> (TrialOutput, Vec<netsim::DesRunFacts>) {
-    let runs = des_runs(name, quality, trial_seed);
-    let mut outcomes = Vec::with_capacity(runs.len());
-    let mut facts = Vec::with_capacity(runs.len());
-    for run in &runs {
-        let (out, f) = run_observed(run);
-        outcomes.push(out);
-        facts.push(f);
-    }
-    (trial_output_from(name, quality, trial_seed, outcomes), facts)
-}
-
-/// Run one constituent simulation with recording; returns the encoded event
-/// log alongside the outcome. The outcome is identical to [`run_plain`]'s
-/// (the recorder is a passive observer).
-pub fn record(run: &DesRun) -> (Vec<u8>, NetSimOutcome) {
-    let sink = iac_des::log::MemorySink::default();
-    let out = netsim::run_netsim_recorded(&run.spec, run.phy.clone(), sink.clone())
-        .expect("in-memory sink cannot fail");
-    (sink.take(), out)
-}
-
-/// Replay one constituent simulation from its recorded log under bit-exact
-/// verification.
-pub fn replay(run: &DesRun, log: &EventLog) -> Result<NetSimOutcome, Box<Divergence>> {
-    netsim::run_netsim_replayed(&run.spec, run.phy.clone(), log)
-}
-
-/// [`replay`] with telemetry facts harvested after verification succeeds
-/// (the replay checker owns the observer slot, so per-kind counts stay
-/// empty — see `netsim::run_netsim_replayed_observed`). The outcome is
-/// bit-identical to [`replay`]'s.
-pub fn replay_observed(
-    run: &DesRun,
-    log: &EventLog,
-) -> Result<(NetSimOutcome, netsim::DesRunFacts), Box<Divergence>> {
-    let (out, mut facts) = netsim::run_netsim_replayed_observed(&run.spec, run.phy.clone(), log)?;
-    facts.label.clone_from(&run.label);
-    Ok((out, facts))
-}
-
-/// The campus trial's registry metrics from its report — the single metric
-/// extraction both the live registry entry and replay reconstruction use.
-pub fn campus_trial_output(r: &des_campus::CampusReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("delivered_uplink", r.log.delivered_count(true) as f64),
-            ("delivered_downlink", r.log.delivered_count(false) as f64),
-            ("uplink_median_ms", r.uplink_latency_ms.median),
-            ("jain_overall", r.jain_overall),
-            ("throughput_mbps", r.throughput_mbps),
-            // Tail drops at the bounded MAC queues: the campus scenario
-            // constructs every queue via `TrafficQueue::with_capacity`, so
-            // overload sheds load here instead of ballooning memory — the
-            // counter is part of the report's contract.
-            ("drops_overflow", r.log.drops_overflow as f64),
-        ],
-    }
-}
-
-/// The load-sweep trial's registry metrics from its report. The knees are
-/// grid-interpolated (see `des_load::interpolated_knee`), so these are
-/// continuous in the underlying measurements rather than snapping to swept
-/// grid loads.
-pub fn load_trial_output(r: &des_load::LoadSweepReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("load_gain", r.gain()),
-            ("iac_sustained_pps", r.iac_sustained_pps),
-            ("mimo_sustained_pps", r.mimo_sustained_pps),
-            // Sweep-total tail drops at the bounded MAC queues (per system):
-            // overload past the knee must show up as shed load, not memory
-            // growth — both runs construct queues via `with_capacity`.
-            (
-                "iac_drops_overflow",
-                r.points.iter().map(|p| p.iac.overflow_drops).sum::<u64>() as f64,
-            ),
-            (
-                "mimo_drops_overflow",
-                r.points.iter().map(|p| p.mimo.overflow_drops).sum::<u64>() as f64,
-            ),
-        ],
-    }
-}
-
-/// The AP-churn trial's registry metrics from its report.
-pub fn churn_trial_output(r: &robustness::ChurnReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("delivery_ratio", r.delivery_ratio),
-            ("throughput_mbps", r.throughput_mbps),
-            ("faults", r.faults as f64),
-            ("poll_timeouts", r.poll_timeouts as f64),
-            ("degraded_groups", r.degraded_groups as f64),
-        ],
-    }
-}
-
-/// The backhaul-partition trial's registry metrics from its report.
-pub fn partition_trial_output(r: &robustness::PartitionReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("delivery_ratio", r.delivery_ratio),
-            ("throughput_mbps", r.throughput_mbps),
-            ("wire_expired", r.wire_expired as f64),
-            ("degraded_groups", r.degraded_groups as f64),
-            ("retx", r.retx as f64),
-        ],
-    }
-}
-
-/// The CSI-aging trial's registry metrics from its report: the clean and
-/// worst-severity IAC/MIMO ratios plus the sweep-wide floor — the
-/// graceful-degradation contract in three numbers (gain shrinks with
-/// severity, the floor stays at or above the baseline).
-pub fn aging_trial_output(r: &robustness::CsiAgingReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("gain_clean", r.ratio(0)),
-            ("gain_worst", r.ratio(r.points.len() - 1)),
-            ("min_ratio", r.min_ratio()),
-            ("mimo_mbps", r.mimo_mbps),
-            (
-                "fallback_groups_worst",
-                r.points.last().map_or(0.0, |p| p.degraded_groups as f64),
-            ),
-        ],
-    }
+    (entry(name).runs)(quality, trial_seed)
 }
 
 /// The `trial.json` payload of a recording directory: bit-faithful
@@ -355,59 +228,7 @@ pub fn trial_output_from(
     trial_seed: u64,
     outcomes: Vec<NetSimOutcome>,
 ) -> TrialOutput {
-    match name {
-        "des_campus" => {
-            let cfg = campus_config(quality, trial_seed);
-            let spec = des_campus::spec_for(&cfg);
-            let [out]: [NetSimOutcome; 1] = outcomes
-                .try_into()
-                .unwrap_or_else(|o: Vec<_>| panic!("des_campus expects 1 outcome, got {}", o.len()));
-            campus_trial_output(&des_campus::report_from(&cfg, &spec, out))
-        }
-        "des_load" => {
-            let cfg = load_config(quality, trial_seed);
-            assert_eq!(
-                outcomes.len(),
-                2 * cfg.loads_pps.len(),
-                "des_load expects IAC+MIMO outcomes per load"
-            );
-            let points = cfg
-                .loads_pps
-                .iter()
-                .enumerate()
-                .map(|(k, &load)| des_load::LoadPoint {
-                    load_pps: load,
-                    iac: des_load::point_from(&cfg, true, &outcomes[2 * k]),
-                    mimo: des_load::point_from(&cfg, false, &outcomes[2 * k + 1]),
-                })
-                .collect();
-            load_trial_output(&des_load::report_from(&cfg, points))
-        }
-        "rob_ap_churn" => {
-            let cfg = churn_config(quality, trial_seed);
-            let [out]: [NetSimOutcome; 1] = outcomes.try_into().unwrap_or_else(|o: Vec<_>| {
-                panic!("rob_ap_churn expects 1 outcome, got {}", o.len())
-            });
-            churn_trial_output(&robustness::churn_report_from(&cfg, &out))
-        }
-        "rob_backhaul_partition" => {
-            let cfg = partition_config(quality, trial_seed);
-            let [out]: [NetSimOutcome; 1] = outcomes.try_into().unwrap_or_else(|o: Vec<_>| {
-                panic!("rob_backhaul_partition expects 1 outcome, got {}", o.len())
-            });
-            partition_trial_output(&robustness::partition_report_from(&cfg, &out))
-        }
-        "rob_csi_aging" => {
-            let cfg = aging_config(quality, trial_seed);
-            assert_eq!(
-                outcomes.len(),
-                1 + cfg.severities,
-                "rob_csi_aging expects the MIMO baseline plus one IAC outcome per severity"
-            );
-            aging_trial_output(&robustness::aging_report_from(&cfg, &outcomes[0], &outcomes[1..]))
-        }
-        other => panic!("no DES scenario named {other:?} (see desrec::DES_SCENARIOS)"),
-    }
+    (entry(name).output_from)(quality, trial_seed, outcomes)
 }
 
 #[cfg(test)]
@@ -435,7 +256,7 @@ mod tests {
 
     #[test]
     fn load_runs_pair_systems_per_load() {
-        let cfg = load_config(Quality::Quick, 5);
+        let cfg = des_load::LoadSweepConfig::config(Quality::Quick, 5);
         let runs = des_runs("des_load", Quality::Quick, 5);
         assert_eq!(runs.len(), 2 * cfg.loads_pps.len());
         assert!(runs[0].label.starts_with("iac_"));

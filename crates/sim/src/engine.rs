@@ -33,8 +33,10 @@
 //! to the machine's available parallelism: workers beyond the core count
 //! cannot run concurrently and only add spawn/switch overhead and cold
 //! arenas (outputs are bit-identical at every worker count, so the clamp is
-//! unobservable in results). The `_on` variants take an exact worker count
-//! for tests and scaling studies.
+//! unobservable in results). Every run mode — plain, deadline-bounded,
+//! observed, or both — goes through the one claim loop in
+//! [`run_trials_with`], driven by a [`RunOpts`] value whose
+//! [`RunOpts::workers`] count is exact, for tests and scaling studies.
 //!
 //! Construction of non-[`Send`] machinery (e.g. the `Rc`-based metrics log
 //! of `iac-des` simulations) happens *inside* the worker closure, so only
@@ -47,8 +49,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// A cooperative wall-clock deadline, shared by the deadline-aware trial
-/// runner ([`run_trials_deadline`]), the sweep CLI's `--timeout-secs`, and
+/// A cooperative wall-clock deadline, shared by the trial engine
+/// ([`RunOpts::deadline`]), the sweep CLI's `--timeout-secs`, and
 /// the `iac-serve` daemon's per-request deadlines.
 ///
 /// A deadline is only ever *checked between units of work* (between
@@ -154,9 +156,7 @@ fn available_cores() -> usize {
 /// count. Outputs are bit-identical at every worker count, so the clamp
 /// never changes results — only wall-clock.
 pub fn effective_workers(requested: usize, n: usize) -> usize {
-    resolve_threads(requested)
-        .min(available_cores())
-        .clamp(1, n.max(1))
+    RunOpts::threads(requested).workers.clamp(1, n.max(1))
 }
 
 /// Geometric chunk divisor: each claim takes `remaining / (4·workers)`
@@ -184,19 +184,47 @@ fn claim_chunk(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<u
     }
 }
 
-/// One worker's claim loop: drain chunks off the cursor, run every trial in
-/// each, keep `(index, output)` pairs locally.
-fn worker_shard<T, F>(cursor: &AtomicUsize, n: usize, workers: usize, run: &F) -> Vec<(usize, T)>
-where
-    F: Fn(usize) -> T + Sync,
-{
-    let mut shard: Vec<(usize, T)> = Vec::new();
-    while let Some(range) = claim_chunk(cursor, n, workers) {
-        for i in range {
-            shard.push((i, run(i)));
+/// How to run a batch of trials: the engine's only knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOpts {
+    /// Worker lanes, exact (clamped only to `1..=n`). [`RunOpts::threads`]
+    /// resolves a thread request the way [`run_trials`] does.
+    pub workers: usize,
+    /// Stop claiming trials once this passes; [`Deadline::none`] runs all.
+    pub deadline: Deadline,
+    /// Collect [`EngineFacts`] (timings, lane scratch deltas, profile).
+    pub observe: bool,
+}
+
+impl RunOpts {
+    /// Exactly `workers` lanes — no environment lookup, no core clamp — for
+    /// tests and scaling studies that must exercise a specific pool size
+    /// (the determinism contract holds for any count). Unbounded,
+    /// unobserved.
+    pub fn workers(workers: usize) -> Self {
+        RunOpts {
+            workers,
+            deadline: Deadline::none(),
+            observe: false,
         }
     }
-    shard
+
+    /// A thread request (`0` = auto, see [`resolve_threads`]) clamped to
+    /// the machine's cores. Unbounded, unobserved.
+    pub fn threads(threads: usize) -> Self {
+        Self::workers(resolve_threads(threads).min(available_cores()))
+    }
+}
+
+/// What [`run_trials_with`] returns.
+#[derive(Debug, Clone)]
+pub struct TrialRun<T> {
+    /// Outputs of the contiguous prefix `0..k` of trials, in trial order.
+    pub outputs: Vec<T>,
+    /// Whether every trial ran (`k == n`); false only on deadline expiry.
+    pub complete: bool,
+    /// Execution facts about the prefix; empty unless [`RunOpts::observe`].
+    pub facts: EngineFacts,
 }
 
 /// Run `n` trials on the *effective* worker count for `threads` (see
@@ -209,142 +237,107 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_trials_on(n, effective_workers(threads, n), run)
+    run_trials_with(n, RunOpts::threads(threads), run).outputs
 }
 
-/// [`run_trials`] on an **exact** worker count — no environment lookup, no
-/// core clamp. The ordinary entry point is [`run_trials`]; this variant
-/// exists for tests and scaling studies that must exercise a specific pool
-/// size regardless of the machine (the determinism contract holds for any
-/// `workers`).
-pub fn run_trials_on<T, F>(n: usize, workers: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(run).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut merged: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| {
-                let run = &run;
-                let cursor = &cursor;
-                scope.spawn(move || worker_shard(cursor, n, workers, run))
-            })
-            .collect();
-        // The caller is worker lane 0: no spawn for it, and its thread-local
-        // scratch arena (warm from previous runs) serves a share of trials.
-        merged.extend(worker_shard(&cursor, n, workers, &run));
-        for h in handles {
-            merged.extend(h.join().expect("trial worker panicked"));
-        }
-    });
-    // The order-independent reduce: whatever interleaving the workers saw,
-    // the caller observes trial order.
-    merged.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(merged.len(), n);
-    merged.into_iter().map(|(_, t)| t).collect()
-}
-
-/// [`run_trials`] under a cooperative [`Deadline`]: workers check the
-/// deadline **before starting** each trial and stop once it has passed; a
-/// trial that has started always runs to completion. Returns the completed
-/// outputs and whether the run finished all `n` trials.
+/// The engine: run trials `0..n` on `opts.workers` lanes and return them in
+/// trial order. The caller's thread is lane 0; further lanes are scoped
+/// threads. Every lane drains chunks off one shared cursor.
 ///
-/// The returned partial result is always the contiguous prefix `0..k` —
-/// bit-identical to the first `k` trials of an unbounded run, whatever the
-/// thread count (only `k` itself is timing-dependent). With chunked
-/// claiming a worker may abandon the tail of its chunk at expiry; the
-/// reducer keeps the longest contiguous prefix and discards any trials
-/// completed beyond the first gap, so the contract survives mid-chunk
-/// expiry.
-pub fn run_trials_deadline<T, F>(
-    n: usize,
-    threads: usize,
-    deadline: Deadline,
-    run: F,
-) -> (Vec<T>, bool)
+/// Under a bounded [`Deadline`] lanes check it **before starting** each
+/// trial and stop once it has passed; a started trial always completes. The
+/// outputs are then the contiguous prefix `0..k` — bit-identical to the
+/// first `k` trials of an unbounded run, whatever the worker count (only `k`
+/// is timing-dependent). A lane may abandon the tail of its chunk at
+/// expiry, so trials completed beyond the first gap are dropped.
+///
+/// With `observe`, each trial runs under a span on its lane's profiler and
+/// [`TrialRun::facts`] describes the kept prefix: one timing per trial
+/// (when telemetry is compiled in) and per-lane trial counts summing to
+/// `k`. The facts ride alongside and never influence the outputs.
+pub fn run_trials_with<T, F>(n: usize, opts: RunOpts, run: F) -> TrialRun<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_trials_deadline_on(n, effective_workers(threads, n), deadline, run)
-}
-
-/// [`run_trials_deadline`] on an **exact** worker count (see
-/// [`run_trials_on`] for when that is the right tool).
-pub fn run_trials_deadline_on<T, F>(
-    n: usize,
-    workers: usize,
-    deadline: Deadline,
-    run: F,
-) -> (Vec<T>, bool)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if !deadline.is_bounded() {
-        return (run_trials_on(n, workers, run), true);
-    }
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            if deadline.expired() {
-                return (out, false);
-            }
-            out.push(run(i));
-        }
-        return (out, true);
-    }
-    let deadline_shard = |cursor: &AtomicUsize| {
+    let workers = opts.workers.clamp(1, n.max(1));
+    let origin = Instant::now();
+    let cursor = AtomicUsize::new(0);
+    let lane = |id: u32| {
+        let mut obs = opts.observe.then(|| Lane::start(id, origin));
         let mut shard: Vec<(usize, T)> = Vec::new();
-        'claims: while let Some(range) = claim_chunk(cursor, n, workers) {
+        'claims: while let Some(range) = claim_chunk(&cursor, n, workers) {
+            // Plain runs take the whole chunk without per-trial checks: the
+            // early-exit loop below costs the dispatch measurably.
+            if obs.is_none() && !opts.deadline.is_bounded() {
+                shard.extend(range.map(|i| (i, run(i))));
+                continue;
+            }
             for i in range {
-                if deadline.expired() {
+                if opts.deadline.expired() {
                     break 'claims;
                 }
-                shard.push((i, run(i)));
+                let out = match obs.as_mut() {
+                    Some(observer) => observer.observe(i, &run),
+                    None => run(i),
+                };
+                shard.push((i, out));
             }
         }
-        shard
+        // Sealed on the lane's own thread: the scratch delta reads the
+        // thread-local arena stats.
+        (shard, obs.map(Lane::finish))
     };
-    let cursor = AtomicUsize::new(0);
     let mut merged: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| {
-                let shard = &deadline_shard;
-                let cursor = &cursor;
-                scope.spawn(move || shard(cursor))
-            })
-            .collect();
-        merged.extend(deadline_shard(&cursor));
-        for h in handles {
-            merged.extend(h.join().expect("trial worker panicked"));
-        }
-    });
+    let mut sealed = Vec::new();
+    let mut keep = |(shard, facts): (Vec<(usize, T)>, Option<LaneFacts>)| {
+        merged.extend(shard);
+        sealed.extend(facts);
+    };
+    if workers == 1 {
+        keep(lane(0));
+    } else {
+        std::thread::scope(|scope| {
+            let lane = &lane;
+            let handles: Vec<_> = (1..workers as u32)
+                .map(|id| scope.spawn(move || lane(id)))
+                .collect();
+            // The caller is lane 0: no spawn for it, and its thread-local
+            // scratch arena (warm from previous runs) serves a share of
+            // trials.
+            keep(lane(0));
+            for h in handles {
+                keep(h.join().expect("trial worker panicked"));
+            }
+        });
+    }
+    // The order-independent reduce: whatever interleaving the lanes saw,
+    // the caller observes trial order, cut at the first gap (claimed indices
+    // are distinct, so all `n` back means there is none).
     merged.sort_by_key(|&(i, _)| i);
-    // Longest contiguous prefix: trials completed beyond a mid-chunk
-    // abandonment are dropped so the partial result stays the exact serial
-    // prefix 0..k.
-    let k = merged
-        .iter()
-        .enumerate()
-        .take_while(|&(k, &(i, _))| i == k)
-        .count();
+    let k = if merged.len() == n {
+        n
+    } else {
+        merged.iter().enumerate().take_while(|&(k, &(i, _))| i == k).count()
+    };
+    debug_assert!(opts.deadline.is_bounded() || k == n);
     merged.truncate(k);
-    let complete = k == n;
-    (merged.into_iter().map(|(_, t)| t).collect(), complete)
+    let mut facts = EngineFacts::default();
+    for lane in sealed {
+        lane.fold_into(&mut facts, k);
+    }
+    facts.timings.sort_by_key(|t| t.index);
+    facts.workers.sort_by_key(|w| w.lane);
+    TrialRun {
+        outputs: merged.into_iter().map(|(_, t)| t).collect(),
+        complete: k == n,
+        facts,
+    }
 }
 
-/// Wall-clock timing of one trial, as observed by
-/// [`run_trials_observed`]. Timestamps are relative to the run's start, so
-/// all lanes share one time base (the Chrome-trace convention).
+/// Wall-clock timing of one trial, as observed by an observed
+/// [`run_trials_with`]. Timestamps are relative to the run's start, so all
+/// lanes share one time base (the Chrome-trace convention).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialTiming {
     /// Trial index within the run.
@@ -357,12 +350,12 @@ pub struct TrialTiming {
     pub dur_ns: u64,
 }
 
-/// One worker lane's contribution to a [`run_trials_observed`] run.
+/// One worker lane's contribution to an observed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerFacts {
     /// Lane id, `0..threads` (lane 0 is the calling thread).
     pub lane: u32,
-    /// Trials this lane claimed.
+    /// Trials of the kept prefix this lane ran.
     pub trials: u64,
     /// The lane's scratch-arena activity **delta** over the run
     /// ([`iac_phy::fft::thread_scratch_stats`] before/after — the arena is
@@ -370,9 +363,9 @@ pub struct WorkerFacts {
     pub scratch: ScratchStats,
 }
 
-/// Everything [`run_trials_observed`] learns about a run beyond its
-/// outputs. Entirely execution-dependent (wall-clock, lane assignment) —
-/// never feed any of it back into simulation results.
+/// Everything an observed run learns beyond its outputs. Entirely
+/// execution-dependent (wall-clock, lane assignment) — never feed any of it
+/// back into simulation results.
 #[derive(Debug, Clone, Default)]
 pub struct EngineFacts {
     /// Per-trial wall-clock timings, in trial order. Empty when the `obs`
@@ -380,9 +373,10 @@ pub struct EngineFacts {
     pub timings: Vec<TrialTiming>,
     /// Per-lane summaries, in lane order.
     pub workers: Vec<WorkerFacts>,
-    /// The merged span-profile tree across all lanes.
+    /// The merged span-profile tree across all lanes (every trial span a
+    /// lane ran, including any dropped past a deadline gap).
     pub profile: ProfileTree,
-    /// Chrome-trace events (one per trial span), unsorted across lanes.
+    /// Chrome-trace events (one per kept trial span), unsorted across lanes.
     pub trace: Vec<TraceEvent>,
 }
 
@@ -434,108 +428,29 @@ struct LaneFacts {
 }
 
 impl LaneFacts {
-    /// Fold into the run-wide facts. Trial spans open and close
-    /// sequentially on one lane, so the lane's trace events line up
-    /// one-to-one with its claim order (or are absent entirely when
-    /// telemetry is compiled out).
-    fn fold_into(self, facts: &mut EngineFacts) {
-        for (&index, ev) in self.order.iter().zip(self.events.iter()) {
-            facts.timings.push(TrialTiming {
-                index,
-                lane: self.lane,
-                start_ns: ev.ts_ns,
-                dur_ns: ev.dur_ns,
-            });
+    /// Fold into the run-wide facts, keeping only trials of the prefix
+    /// `0..k`. Trial spans open and close sequentially on one lane, so the
+    /// lane's trace events line up one-to-one with its claim order (or are
+    /// absent entirely when telemetry is compiled out).
+    fn fold_into(self, facts: &mut EngineFacts, k: usize) {
+        for (&index, ev) in self.order.iter().zip(self.events) {
+            if index < k {
+                facts.timings.push(TrialTiming {
+                    index,
+                    lane: self.lane,
+                    start_ns: ev.ts_ns,
+                    dur_ns: ev.dur_ns,
+                });
+                facts.trace.push(ev);
+            }
         }
         facts.workers.push(WorkerFacts {
             lane: self.lane,
-            trials: self.order.len() as u64,
+            trials: self.order.iter().filter(|&&i| i < k).count() as u64,
             scratch: self.scratch,
         });
         facts.profile.merge(&self.tree);
-        facts.trace.extend(self.events);
     }
-}
-
-/// A lane's chunked claim loop: like [`worker_shard`] but each trial runs
-/// under the lane's observation ([`Lane::observe`] records the claim order
-/// and wraps the trial in a span).
-fn observed_shard<T, F>(
-    cursor: &AtomicUsize,
-    n: usize,
-    workers: usize,
-    run: &F,
-    lane: &mut Lane,
-) -> Vec<(usize, T)>
-where
-    F: Fn(usize) -> T + Sync,
-{
-    let mut shard: Vec<(usize, T)> = Vec::new();
-    while let Some(range) = claim_chunk(cursor, n, workers) {
-        for i in range {
-            shard.push((i, lane.observe(i, run)));
-        }
-    }
-    shard
-}
-
-/// [`run_trials`] plus passive observation: per-trial wall-clock timings,
-/// per-lane scratch-arena deltas, and a merged span profile. The outputs are
-/// computed by the identical claim/merge/sort machinery, so they are
-/// bit-identical to [`run_trials`]'s for every thread count — the facts ride
-/// alongside and never influence them.
-pub fn run_trials_observed<T, F>(n: usize, threads: usize, run: F) -> (Vec<T>, EngineFacts)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_trials_observed_on(n, effective_workers(threads, n), run)
-}
-
-/// [`run_trials_observed`] on an **exact** worker count (see
-/// [`run_trials_on`]). Lane 0 is always the calling thread.
-pub fn run_trials_observed_on<T, F>(n: usize, workers: usize, run: F) -> (Vec<T>, EngineFacts)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let origin = Instant::now();
-    let mut facts = EngineFacts::default();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        let mut lane = Lane::start(0, origin);
-        let out: Vec<T> = (0..n).map(|i| lane.observe(i, &run)).collect();
-        lane.finish().fold_into(&mut facts);
-        return (out, facts);
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut merged: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers as u32)
-            .map(|lane_id| {
-                let run = &run;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut lane = Lane::start(lane_id, origin);
-                    let shard = observed_shard(cursor, n, workers, run, &mut lane);
-                    (shard, lane.finish())
-                })
-            })
-            .collect();
-        let mut lane0 = Lane::start(0, origin);
-        merged.extend(observed_shard(&cursor, n, workers, &run, &mut lane0));
-        lane0.finish().fold_into(&mut facts);
-        for h in handles {
-            let (shard, lane) = h.join().expect("trial worker panicked");
-            merged.extend(shard);
-            lane.fold_into(&mut facts);
-        }
-    });
-    merged.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(merged.len(), n);
-    facts.timings.sort_by_key(|t| t.index);
-    facts.workers.sort_by_key(|w| w.lane);
-    (merged.into_iter().map(|(_, t)| t).collect(), facts)
 }
 
 #[cfg(test)]
@@ -544,12 +459,15 @@ mod tests {
 
     #[test]
     fn trial_order_is_restored_for_every_worker_count() {
-        // `run_trials_on`, not `run_trials`: the public entry clamps to the
-        // machine's cores, and this test must exercise real multi-worker
-        // chunk claiming even on a single-core container.
+        // Exact `RunOpts::workers`, not `run_trials`: the public entry clamps
+        // to the machine's cores, and this test must exercise real
+        // multi-worker chunk claiming even on a single-core container.
         let serial: Vec<u64> = (0..37).map(|i| Rng64::derive(9, i as u64).next_u64()).collect();
         for workers in [1, 2, 3, 7, 16] {
-            let parallel = run_trials_on(37, workers, |i| Rng64::derive(9, i as u64).next_u64());
+            let parallel = run_trials_with(37, RunOpts::workers(workers), |i| {
+                Rng64::derive(9, i as u64).next_u64()
+            })
+            .outputs;
             assert_eq!(parallel, serial, "workers = {workers}");
         }
         // The clamped public entry agrees, whatever the machine.
@@ -585,12 +503,13 @@ mod tests {
     fn uneven_trial_costs_still_reduce_in_order() {
         // Early trials sleep, late ones return immediately: workers finish
         // out of order, the reducer must not care.
-        let out = run_trials_on(12, 4, |i| {
+        let out = run_trials_with(12, RunOpts::workers(4), |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             i * 10
-        });
+        })
+        .outputs;
         assert_eq!(out, (0..12).map(|i| i * 10).collect::<Vec<_>>());
     }
 
@@ -598,8 +517,8 @@ mod tests {
     fn zero_and_one_trials_work() {
         assert_eq!(run_trials(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(run_trials(1, 4, |i| i + 1), vec![1]);
-        assert_eq!(run_trials_on(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_trials_on(1, 4, |i| i + 1), vec![1]);
+        assert_eq!(run_trials_with(0, RunOpts::workers(4), |i| i).outputs, Vec::<usize>::new());
+        assert_eq!(run_trials_with(1, RunOpts::workers(4), |i| i + 1).outputs, vec![1]);
     }
 
     #[test]
@@ -645,8 +564,9 @@ mod tests {
     fn observed_outputs_match_plain_for_every_worker_count() {
         let serial: Vec<u64> = (0..23).map(|i| Rng64::derive(3, i as u64).next_u64()).collect();
         for workers in [1, 2, 4] {
-            let (out, facts) =
-                run_trials_observed_on(23, workers, |i| Rng64::derive(3, i as u64).next_u64());
+            let observed = RunOpts { observe: true, ..RunOpts::workers(workers) };
+            let TrialRun { outputs: out, facts, .. } =
+                run_trials_with(23, observed, |i| Rng64::derive(3, i as u64).next_u64());
             assert_eq!(out, serial, "workers = {workers}");
             assert_eq!(
                 facts.workers.iter().map(|w| w.trials).sum::<u64>(),
@@ -676,8 +596,8 @@ mod tests {
 
     #[test]
     fn unbounded_deadline_runs_everything() {
-        let (out, complete) =
-            run_trials_deadline(9, 3, Deadline::none(), |i| i * 2);
+        let TrialRun { outputs: out, complete, .. } =
+            run_trials_with(9, RunOpts::threads(3), |i| i * 2);
         assert!(complete);
         assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
         assert!(!Deadline::none().expired());
@@ -692,7 +612,8 @@ mod tests {
             let past = Deadline::at(Instant::now() - Duration::from_millis(1));
             assert!(past.expired());
             assert_eq!(past.remaining(), Some(Duration::ZERO));
-            let (out, complete) = run_trials_deadline_on(8, workers, past, |i| i);
+            let opts = RunOpts { deadline: past, ..RunOpts::workers(workers) };
+            let TrialRun { outputs: out, complete, .. } = run_trials_with(8, opts, |i| i);
             assert!(!complete, "workers = {workers}");
             assert!(out.is_empty(), "workers = {workers}");
         }
@@ -704,20 +625,43 @@ mod tests {
         // the prefix 0..k with the same values an unbounded run produces.
         // Worker counts above 2 exercise mid-chunk abandonment: a lane that
         // gives up inside its claimed range leaves a hole the reducer must
-        // truncate at.
-        for workers in [1, 3, 4] {
-            let (out, complete) = run_trials_deadline_on(
-                64,
-                workers,
-                Deadline::after(Duration::from_millis(30)),
-                |i| {
-                    std::thread::sleep(Duration::from_millis(4));
-                    i * 7
-                },
+        // truncate at. Observed runs hold the same contract, and their facts
+        // describe exactly the kept prefix.
+        let n = 256;
+        let plain = [1, 3, 4].map(|w| (w, false));
+        let observed = [1, 2, 3, 7, 16].map(|w| (w, true));
+        for (workers, observe) in plain.into_iter().chain(observed) {
+            let opts = RunOpts {
+                deadline: Deadline::after(Duration::from_millis(30)),
+                observe,
+                ..RunOpts::workers(workers)
+            };
+            let TrialRun { outputs: out, complete, facts } = run_trials_with(n, opts, |i| {
+                std::thread::sleep(Duration::from_millis(4));
+                i * 7
+            });
+            let at = format!("workers = {workers}, observe = {observe}");
+            assert!(!complete, "256 * 4ms over 16 lanes cannot fit in 30ms ({at})");
+            assert!(out.len() < n);
+            assert_eq!(out, (0..out.len()).map(|i| i * 7).collect::<Vec<_>>(), "{at}");
+            if !observe {
+                assert!(facts.workers.is_empty(), "unobserved runs collect nothing");
+                continue;
+            }
+            assert_eq!(facts.workers.len(), workers, "{at}");
+            assert_eq!(
+                facts.workers.iter().map(|w| w.trials).sum::<u64>(),
+                out.len() as u64,
+                "lane counts cover the kept prefix ({at})"
             );
-            assert!(!complete, "64 * 4ms cannot fit in 30ms (workers = {workers})");
-            assert!(out.len() < 64);
-            assert_eq!(out, (0..out.len()).map(|i| i * 7).collect::<Vec<_>>());
+            if iac_obs::ENABLED {
+                let indices: Vec<usize> = facts.timings.iter().map(|t| t.index).collect();
+                let kept: Vec<usize> = (0..out.len()).collect();
+                assert_eq!(indices, kept, "one timing per kept trial ({at})");
+                assert_eq!(facts.trace.len(), out.len(), "{at}");
+            } else {
+                assert!(facts.timings.is_empty() && facts.trace.is_empty(), "spans compile out");
+            }
         }
     }
 
@@ -735,24 +679,28 @@ mod tests {
             Rng64::derive(13, i as u64).next_u64()
         };
         // k == 0: already expired.
-        let (out, complete) = run_trials_deadline_on(
+        let TrialRun { outputs: out, complete, .. } = run_trials_with(
             n,
-            4,
-            Deadline::at(Instant::now() - Duration::from_millis(1)),
+            RunOpts {
+                deadline: Deadline::at(Instant::now() - Duration::from_millis(1)),
+                ..RunOpts::workers(4)
+            },
             trial,
         );
         assert!(!complete);
         assert_eq!(out, Vec::<u64>::new());
         // k == n: generous deadline completes and matches serial exactly.
-        let (out, complete) =
-            run_trials_deadline_on(n, 4, Deadline::after(Duration::from_secs(3600)), trial);
+        let generous = Deadline::after(Duration::from_secs(3600));
+        let TrialRun { outputs: out, complete, .. } =
+            run_trials_with(n, RunOpts { deadline: generous, ..RunOpts::workers(4) }, trial);
         assert!(complete);
         assert_eq!(out, serial);
         // Mid-run expiry at several horizons: every partial is the exact
         // serial prefix (bit-identical u64s), whatever k lands on.
         for ms in [1u64, 3, 7] {
-            let (out, complete) =
-                run_trials_deadline_on(n, 4, Deadline::after(Duration::from_millis(ms)), trial);
+            let deadline = Deadline::after(Duration::from_millis(ms));
+            let TrialRun { outputs: out, complete, .. } =
+                run_trials_with(n, RunOpts { deadline, ..RunOpts::workers(4) }, trial);
             assert_eq!(out.as_slice(), &serial[..out.len()], "horizon {ms}ms");
             assert_eq!(complete, out.len() == n, "horizon {ms}ms");
         }
@@ -761,10 +709,12 @@ mod tests {
     #[test]
     fn generous_deadline_completes_and_matches_unbounded() {
         let serial: Vec<u64> = (0..11).map(|i| Rng64::derive(5, i as u64).next_u64()).collect();
-        let (out, complete) = run_trials_deadline(
+        let TrialRun { outputs: out, complete, .. } = run_trials_with(
             11,
-            2,
-            Deadline::after(Duration::from_secs(3600)),
+            RunOpts {
+                deadline: Deadline::after(Duration::from_secs(3600)),
+                ..RunOpts::threads(2)
+            },
             |i| Rng64::derive(5, i as u64).next_u64(),
         );
         assert!(complete);
@@ -776,14 +726,17 @@ mod tests {
         // A trial that exercises the thread-local FFT arena must show up in
         // its lane's delta — and only the delta, not the thread's lifetime
         // totals (the arena persists across runs on one thread).
-        let (_, first) = run_trials_observed(2, 1, |_| {
+        let observed = RunOpts { observe: true, ..RunOpts::threads(1) };
+        let first = run_trials_with(2, observed, |_| {
             let mut x = vec![iac_linalg::C64::one(); 64];
             iac_phy::fft::fft(&mut x);
-        });
-        let (_, second) = run_trials_observed(2, 1, |_| {
+        })
+        .facts;
+        let second = run_trials_with(2, observed, |_| {
             let mut x = vec![iac_linalg::C64::one(); 64];
             iac_phy::fft::fft(&mut x);
-        });
+        })
+        .facts;
         let total =
             |f: &EngineFacts| f.workers.iter().map(|w| w.scratch.plan_hits + w.scratch.plan_misses).sum::<u64>();
         assert_eq!(total(&first), 2);
@@ -804,7 +757,8 @@ mod tests {
         // on *this* thread, so any trial lane 0 claims must be a plan hit.
         trial(0);
         let before = iac_phy::fft::thread_scratch_stats();
-        let (_, facts) = run_trials_observed_on(3, 2, trial);
+        let observed = RunOpts { observe: true, ..RunOpts::workers(2) };
+        let facts = run_trials_with(3, observed, trial).facts;
         let lane0 = facts.workers.iter().find(|w| w.lane == 0).expect("lane 0 reported");
         let on_caller = iac_phy::fft::thread_scratch_stats().since(&before);
         assert_eq!(

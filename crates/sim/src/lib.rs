@@ -12,7 +12,8 @@
 //! * [`experiment`] — the shared baseline-vs-IAC measurement loop.
 //! * [`engine`] — the deterministic parallel trial runner: scoped-thread
 //!   worker pool, trial-indexed seed derivation, order-independent reduce
-//!   (N-thread output is bit-identical to serial).
+//!   (N-thread output is bit-identical to serial); one claim loop for every
+//!   run mode, driven by [`RunOpts`] (workers, deadline, observe).
 //! * [`registry`] — the unified scenario registry: every scenario behind
 //!   one `(Quality, seed) → metrics` entry point, replicated through the
 //!   engine and reduced to `mean ± 95 % CI` (see `docs/EXPERIMENTS.md`).
@@ -27,12 +28,14 @@
 //!   the time-domain scenarios built on `iac-des` (dynamic-arrival campus
 //!   uplink with churn; the offered-load latency sweep).
 //! * [`netsim`] — plumbing for the time-domain scenarios: the calibrated
-//!   SINR-pool PHY and the declarative component-graph builder, with
-//!   plain / recorded / replayed execution variants.
-//! * [`desrec`] — record/replay plumbing for the DES scenarios: enumerate a
-//!   trial's constituent runs, record each to an event log, replay under
-//!   bit-exact verification, and reconstruct the trial's registry metrics
-//!   from replayed outcomes (see `docs/DES.md` § "Record/replay").
+//!   SINR-pool PHY and the declarative component-graph builder, run by one
+//!   `run_netsim(spec, phy, tap)` whose [`Tap`] fills the simulation's
+//!   observer slot with nothing, a kind counter, a recorder or a replayer.
+//! * [`desrec`] — the [`DesScenario`] trait every DES scenario implements
+//!   once, plus record/replay plumbing: enumerate a trial's constituent
+//!   runs, record each to an event log, replay under bit-exact
+//!   verification, and reconstruct the trial's registry metrics from
+//!   replayed outcomes (see `docs/DES.md` § "Record/replay").
 //! * [`metrics`] — latency CDFs, sliding-window throughput, Jain fairness
 //!   over a discrete-event run's raw records.
 //! * [`obs`] — the telemetry bridge: per-trial/per-run facts folded into an
@@ -55,13 +58,13 @@ pub mod scenarios;
 pub mod stats;
 pub mod testbed;
 
+pub use desrec::DesScenario;
 pub use engine::{
-    effective_workers, run_trials, run_trials_deadline, run_trials_deadline_on, run_trials_on,
-    run_trials_observed, run_trials_observed_on, Deadline, EngineFacts, Trial,
+    effective_workers, run_trials, run_trials_with, Deadline, EngineFacts, RunOpts, Trial, TrialRun,
 };
 pub use obs::{SweepObs, TrialFacts};
 pub use experiment::{ExperimentConfig, ScatterPoint, DEFAULT_SEED};
-pub use netsim::{CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
-pub use registry::{Quality, Scenario, ScenarioReport, TrialOutput};
+pub use netsim::{CalibratedPhy, NetSim, NetSimOutcome, SourceSpec, Tap};
+pub use registry::{Quality, Scenario, ScenarioReport, ScenarioRun, TrialOutput};
 pub use stats::{cdf_points, ci95_half_width, mean, Summary};
 pub use testbed::Testbed;

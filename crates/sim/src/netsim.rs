@@ -309,23 +309,66 @@ pub fn build_netsim(spec: &NetSim, phy: CalibratedPhy) -> (Simulation<NetEvent>,
     (sim, metrics)
 }
 
-fn outcome_of(sim: &Simulation<NetEvent>, metrics: &SharedMetrics, events: u64) -> NetSimOutcome {
-    NetSimOutcome {
-        log: metrics.snapshot(),
-        events,
-        end_time: sim.time(),
-    }
+/// What fills the simulation's single observer slot during [`run_netsim`].
+/// Every tap is passive: the outcome is bit-identical whichever is used.
+pub enum Tap<'a> {
+    /// Nothing attached: the plain run.
+    None,
+    /// The event-kind counter: [`DesRunFacts::event_kinds`] gets filled.
+    Kinds,
+    /// Stream every fired event to this recorder in the `iac-des::log` wire
+    /// format. The caller keeps the recorder and calls
+    /// [`finish`](iac_des::EventRecorder::finish) after the run to seal a
+    /// complete decodable [`EventLog`](iac_des::EventLog).
+    Record(&'a iac_des::EventRecorder<NetEvent>),
+    /// Verify every fired event against a recorded log, bit for bit. On
+    /// success the outcome (and its [`MetricsLog`]) is bit-identical to the
+    /// recorded run's; on mismatch the first divergent event comes back
+    /// with context.
+    Replay(&'a iac_des::EventLog),
 }
 
-/// Assemble the component graph and run `step_until_no_events()`.
+/// Assemble the component graph, run it to queue exhaustion with `tap` in
+/// the observer slot, and harvest the run's [`DesRunFacts`] afterwards.
+/// Only [`Tap::Replay`] can fail.
 ///
 /// Grouping uses the FIFO policy in both directions: the calibrated PHY has
 /// no per-group channel knowledge for a rate scorer to exploit, so FIFO
 /// keeps the comparison between MAC configurations policy-neutral.
-pub fn run_netsim(spec: &NetSim, phy: CalibratedPhy) -> NetSimOutcome {
+pub fn run_netsim(
+    spec: &NetSim,
+    phy: CalibratedPhy,
+    tap: Tap<'_>,
+) -> Result<(NetSimOutcome, DesRunFacts), Box<iac_des::Divergence>> {
+    fn observed(
+        sim: &mut Simulation<NetEvent>,
+        observer: impl iac_des::EventObserver<NetEvent> + 'static,
+    ) -> u64 {
+        sim.set_observer(Box::new(observer));
+        let events = sim.step_until_no_events();
+        sim.take_observer();
+        events
+    }
     let (mut sim, metrics) = build_netsim(spec, phy);
-    let events = sim.step_until_no_events();
-    outcome_of(&sim, &metrics, events)
+    let mut kinds = None;
+    let events = match tap {
+        Tap::None => sim.step_until_no_events(),
+        Tap::Kinds => {
+            let counts = iac_des::SharedKindCounts::new();
+            let events = observed(&mut sim, iac_des::EventKindCounter::new(counts.clone()));
+            kinds = Some(counts);
+            events
+        }
+        Tap::Record(recorder) => observed(&mut sim, recorder.clone()),
+        Tap::Replay(log) => iac_des::Replayer::new(log.clone()).run(&mut sim)?.events,
+    };
+    let out = NetSimOutcome {
+        log: metrics.snapshot(),
+        events,
+        end_time: sim.time(),
+    };
+    let facts = facts_of(&sim, &out, kinds.map_or_else(Vec::new, |k| k.counts()));
+    Ok((out, facts))
 }
 
 /// Telemetry facts harvested from one completed run — engine queue
@@ -382,8 +425,8 @@ pub struct DesRunFacts {
 
 /// Flatten a finished run into [`DesRunFacts`]: engine queue statistics
 /// from the simulation, MAC counters from the outcome's [`MetricsLog`],
-/// plus whatever per-kind counts the caller's observer collected (empty
-/// when the observer slot was spoken for, as in replay verification).
+/// plus the per-kind counts of a [`Tap::Kinds`] run (empty for every other
+/// tap).
 fn facts_of(
     sim: &Simulation<NetEvent>,
     out: &NetSimOutcome,
@@ -418,71 +461,6 @@ fn facts_of(
         wire_expired: out.log.wire_expired,
         degraded_groups: out.log.degraded_groups,
     }
-}
-
-/// [`run_netsim`] with a passive event-kind counter attached and the run's
-/// telemetry facts harvested afterwards. The outcome is identical to
-/// [`run_netsim`]'s — the observer sees events but cannot touch them, and
-/// every fact is read from state the plain run accumulates anyway.
-pub fn run_netsim_observed(spec: &NetSim, phy: CalibratedPhy) -> (NetSimOutcome, DesRunFacts) {
-    let (mut sim, metrics) = build_netsim(spec, phy);
-    let kinds = iac_des::SharedKindCounts::new();
-    sim.set_observer(Box::new(iac_des::EventKindCounter::new(kinds.clone())));
-    let events = sim.step_until_no_events();
-    sim.take_observer();
-    let out = outcome_of(&sim, &metrics, events);
-    let facts = facts_of(&sim, &out, kinds.counts());
-    (out, facts)
-}
-
-/// [`run_netsim`] with every fired event streamed to `sink` in the
-/// `iac-des::log` wire format. The outcome is identical to the unrecorded
-/// run's (the recorder is a passive observer); the sink ends up holding a
-/// complete decodable [`EventLog`](iac_des::EventLog).
-pub fn run_netsim_recorded(
-    spec: &NetSim,
-    phy: CalibratedPhy,
-    sink: impl std::io::Write + 'static,
-) -> std::io::Result<NetSimOutcome> {
-    let (mut sim, metrics) = build_netsim(spec, phy);
-    let recorder: iac_des::EventRecorder<NetEvent> = iac_des::EventRecorder::to_writer(sink)?;
-    sim.set_observer(Box::new(recorder.clone()));
-    let events = sim.step_until_no_events();
-    sim.take_observer();
-    recorder.finish()?;
-    Ok(outcome_of(&sim, &metrics, events))
-}
-
-/// Re-run a recorded [`NetSim`] under verification: rebuild the identical
-/// component graph from `spec` and drive it while asserting every fired
-/// event matches `log` bit-for-bit. On success the outcome (and its
-/// [`MetricsLog`]) is bit-identical to the recorded run's; on mismatch the
-/// first divergent event comes back with context.
-pub fn run_netsim_replayed(
-    spec: &NetSim,
-    phy: CalibratedPhy,
-    log: &iac_des::EventLog,
-) -> Result<NetSimOutcome, Box<iac_des::Divergence>> {
-    let (mut sim, metrics) = build_netsim(spec, phy);
-    let summary = iac_des::Replayer::new(log.clone()).run(&mut sim)?;
-    Ok(outcome_of(&sim, &metrics, summary.events))
-}
-
-/// [`run_netsim_replayed`] with the run's telemetry facts harvested after
-/// verification succeeds. The replay checker owns the observer slot, so
-/// `event_kinds` stays empty; every other fact (queue statistics, MAC
-/// counters) is read from the same post-run state the live observed runner
-/// uses, and the outcome is bit-identical to [`run_netsim_replayed`]'s.
-pub fn run_netsim_replayed_observed(
-    spec: &NetSim,
-    phy: CalibratedPhy,
-    log: &iac_des::EventLog,
-) -> Result<(NetSimOutcome, DesRunFacts), Box<iac_des::Divergence>> {
-    let (mut sim, metrics) = build_netsim(spec, phy);
-    let summary = iac_des::Replayer::new(log.clone()).run(&mut sim)?;
-    let out = outcome_of(&sim, &metrics, summary.events);
-    let facts = facts_of(&sim, &out, Vec::new());
-    Ok((out, facts))
 }
 
 #[cfg(test)]
@@ -524,7 +502,8 @@ mod tests {
                 .collect(),
             faults: vec![],
         };
-        let out = run_netsim(&spec, CalibratedPhy::new(iac, 0.5, 0.01, 3));
+        let phy = CalibratedPhy::new(iac, 0.5, 0.01, 3);
+        let (out, _) = run_netsim(&spec, phy, Tap::None).unwrap();
         assert!(out.log.offered > 20, "offered {}", out.log.offered);
         assert!(
             out.log.delivered_count(true) as f64 >= 0.5 * out.log.offered as f64,
@@ -552,8 +531,8 @@ mod tests {
             faults: vec![],
         };
         let phy = CalibratedPhy::new(iac, 0.5, 0.01, 3);
-        let plain = run_netsim(&spec, phy.clone());
-        let (observed, facts) = run_netsim_observed(&spec, phy);
+        let (plain, _) = run_netsim(&spec, phy.clone(), Tap::None).unwrap();
+        let (observed, facts) = run_netsim(&spec, phy, Tap::Kinds).unwrap();
         // The observer is passive: same log, same event count, same clock.
         assert_eq!(plain.log, observed.log);
         assert_eq!(plain.events, observed.events);

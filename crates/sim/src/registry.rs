@@ -27,14 +27,18 @@
 //! Write a `fn(Quality, u64) -> TrialOutput` wrapper that builds the
 //! scenario's config from the seed (use its `quick(seed)` /
 //! `paper_default(seed)` constructors; never a constant), extract a few
-//! stable headline metrics, and push a [`Scenario`] row in [`all`]. Then
-//! regenerate the golden snapshots (`UPDATE_GOLDENS=1 cargo test -p iac-sim
-//! --test goldens`) if the scenario is golden-gated. See
+//! stable headline metrics, and push a [`Scenario`] row in [`all`]. A
+//! discrete-event scenario is instead one `impl` [`DesScenario`] on its
+//! config type, in its own module, plus one `des::<Config>(..)` row: the
+//! plain, observed, recorded and replayed trials all derive from that impl.
+//! Then regenerate the golden snapshots (`UPDATE_GOLDENS=1 cargo test -p
+//! iac-sim --test goldens`) if the scenario is golden-gated. See
 //! `docs/EXPERIMENTS.md` for the longer walkthrough.
 
-use crate::engine;
+use crate::desrec::{self, DesEntry, DesScenario};
+use crate::engine::{self, EngineFacts, RunOpts};
 use crate::experiment::ExperimentConfig;
-use crate::obs::{SweepObs, TrialFacts};
+use crate::obs::TrialFacts;
 use crate::scenarios::{
     ablations, clustered, des_campus, des_load, fig12, fig13, fig14, fig15, fig16, lemmas, ofdm,
     overhead, robustness, sec6,
@@ -76,10 +80,6 @@ impl TrialOutput {
     }
 }
 
-/// An observed trial entry point: same trial as [`Scenario::run`], plus
-/// the run facts a `--metrics`/`--trace` sweep folds into its registry.
-pub type ObservedTrialFn = fn(Quality, u64) -> (TrialOutput, TrialFacts);
-
 /// A registered scenario: a name, a one-line description, and the uniform
 /// entry point.
 #[derive(Clone, Copy)]
@@ -92,10 +92,10 @@ pub struct Scenario {
     pub default_replicates: usize,
     /// The uniform entry point: one independent trial from one seed.
     pub run: fn(Quality, u64) -> TrialOutput,
-    /// Telemetry variant: same trial, identical [`TrialOutput`] (pinned by
-    /// `tests/obs_invariance.rs`), plus the harvested run facts. `None`
-    /// for scenarios whose only telemetry is engine-level timing.
-    pub run_obs: Option<ObservedTrialFn>,
+    /// Discrete-event scenarios: the entry points generated from their
+    /// [`DesScenario`] impl (observed trials, record/replay). `None` for
+    /// scenarios whose only telemetry is engine-level timing.
+    pub des: Option<DesEntry>,
 }
 
 /// FNV-1a over the scenario name: a stable, dependency-free name hash for
@@ -357,59 +357,6 @@ fn run_ablation_alignment(q: Quality, seed: u64) -> TrialOutput {
     ])
 }
 
-fn run_des_campus(q: Quality, seed: u64) -> TrialOutput {
-    let r = des_campus::run(&crate::desrec::campus_config(q, seed));
-    crate::desrec::campus_trial_output(&r)
-}
-
-fn run_des_load(q: Quality, seed: u64) -> TrialOutput {
-    // Knee loads are grid-interpolated (`des_load::interpolated_knee`), so
-    // all three metrics vary continuously with the seed instead of snapping
-    // between swept grid loads.
-    let r = des_load::run(&crate::desrec::load_config(q, seed));
-    crate::desrec::load_trial_output(&r)
-}
-
-fn run_des_campus_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("des_campus", q, seed);
-    (out, TrialFacts { des_runs })
-}
-
-fn run_des_load_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("des_load", q, seed);
-    (out, TrialFacts { des_runs })
-}
-
-fn run_rob_ap_churn(q: Quality, seed: u64) -> TrialOutput {
-    let r = robustness::run_churn(&crate::desrec::churn_config(q, seed));
-    crate::desrec::churn_trial_output(&r)
-}
-
-fn run_rob_ap_churn_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("rob_ap_churn", q, seed);
-    (out, TrialFacts { des_runs })
-}
-
-fn run_rob_backhaul_partition(q: Quality, seed: u64) -> TrialOutput {
-    let r = robustness::run_partition(&crate::desrec::partition_config(q, seed));
-    crate::desrec::partition_trial_output(&r)
-}
-
-fn run_rob_backhaul_partition_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("rob_backhaul_partition", q, seed);
-    (out, TrialFacts { des_runs })
-}
-
-fn run_rob_csi_aging(q: Quality, seed: u64) -> TrialOutput {
-    let r = robustness::run_csi_aging(&crate::desrec::aging_config(q, seed));
-    crate::desrec::aging_trial_output(&r)
-}
-
-fn run_rob_csi_aging_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("rob_csi_aging", q, seed);
-    (out, TrialFacts { des_runs })
-}
-
 /// Every registered scenario, in presentation order.
 pub fn all() -> Vec<Scenario> {
     fn s(
@@ -423,20 +370,14 @@ pub fn all() -> Vec<Scenario> {
             about,
             default_replicates,
             run,
-            run_obs: None,
+            des: None,
         }
     }
-    // A DES row: same as `s`, plus the telemetry-harvesting trial variant.
-    fn sd(
-        name: &'static str,
-        about: &'static str,
-        default_replicates: usize,
-        run: fn(Quality, u64) -> TrialOutput,
-        run_obs: fn(Quality, u64) -> (TrialOutput, TrialFacts),
-    ) -> Scenario {
+    // A DES row: everything derives from the scenario's `DesScenario` impl.
+    fn des<S: DesScenario>(about: &'static str, default_replicates: usize) -> Scenario {
         Scenario {
-            run_obs: Some(run_obs),
-            ..s(name, about, default_replicates, run)
+            des: Some(DesEntry::of::<S>()),
+            ..s(S::NAME, about, default_replicates, |q, seed| desrec::trial::<S>(q, seed, false).0)
         }
     }
     vec![
@@ -456,11 +397,11 @@ pub fn all() -> Vec<Scenario> {
         s("ablation_estimation", "gain vs channel-estimation SNR", 8, run_ablation_estimation),
         s("ablation_similarity", "gain vs client-channel similarity", 8, run_ablation_similarity),
         s("ablation_alignment", "alignment on/off SINR contrast", 8, run_ablation_alignment),
-        sd("des_campus", "dynamic-arrival campus uplink with churn", 4, run_des_campus, run_des_campus_obs),
-        sd("des_load", "offered-load sweep: latency knees", 4, run_des_load, run_des_load_obs),
-        sd("rob_ap_churn", "decoding APs crash/recover; groups shrink", 4, run_rob_ap_churn, run_rob_ap_churn_obs),
-        sd("rob_backhaul_partition", "backhaul partitions; MIMO fallback + recovery", 4, run_rob_backhaul_partition, run_rob_backhaul_partition_obs),
-        sd("rob_csi_aging", "CSI staleness sweep: IAC degrades toward MIMO", 4, run_rob_csi_aging, run_rob_csi_aging_obs),
+        des::<des_campus::CampusConfig>("dynamic-arrival campus uplink with churn", 4),
+        des::<des_load::LoadSweepConfig>("offered-load sweep: latency knees", 4),
+        des::<robustness::ChurnConfig>("decoding APs crash/recover; groups shrink", 4),
+        des::<robustness::PartitionConfig>("backhaul partitions; MIMO fallback + recovery", 4),
+        des::<robustness::CsiAgingConfig>("CSI staleness sweep: IAC degrades toward MIMO", 4),
     ]
 }
 
@@ -497,7 +438,9 @@ pub struct ScenarioReport {
     pub metrics: Vec<MetricAggregate>,
 }
 
-fn json_f64(v: f64) -> String {
+/// The one JSON float writer: plain `{}` rendering for finite values,
+/// `null` for NaN/∞ (shared by the serve protocol).
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -565,74 +508,58 @@ pub fn run_scenario(
     replicates: usize,
     threads: usize,
 ) -> ScenarioReport {
-    let scen_seed = scenario_seed(master_seed, spec.name);
-    let trials = engine::trials_for(scen_seed, replicates);
-    let run = spec.run;
-    let outputs = engine::run_trials(trials.len(), threads, |i| run(quality, trials[i].seed));
-    reduce_outputs(spec.name, quality, master_seed, replicates, &outputs)
+    run_scenario_with(spec, quality, master_seed, replicates, RunOpts::threads(threads)).report
 }
 
-/// [`run_scenario`] under a cooperative [`engine::Deadline`]: the engine
-/// stops claiming replicates once the deadline passes (each claimed
-/// replicate still completes). Returns the report over the completed prefix
-/// — its `replicates` field is the *completed* count — plus whether the
-/// sweep finished every requested replicate.
-///
-/// The completed replicates are bit-identical to the first `k` of an
-/// unbounded run (see [`engine::run_trials_deadline`]); only `k` itself
-/// depends on timing, so partial reports are never cached or golden-gated.
-pub fn run_scenario_deadline(
+/// What [`run_scenario_with`] returns.
+#[derive(Debug, Clone)]
+pub struct ScenarioRun {
+    /// The report over the completed replicates; its `replicates` field is
+    /// the *completed* count.
+    pub report: ScenarioReport,
+    /// Whether every requested replicate ran.
+    pub complete: bool,
+    /// Engine facts; empty unless observed.
+    pub engine: EngineFacts,
+    /// Per-trial facts (DES runs), one per completed replicate; empty
+    /// entries unless observed.
+    pub trials: Vec<TrialFacts>,
+}
+
+/// [`run_scenario`] under any [`RunOpts`]. A bounded deadline stops the
+/// engine claiming replicates once it passes (each claimed replicate still
+/// completes); the report then covers the completed prefix, bit-identical
+/// to the first `k` replicates of an unbounded run — only `k` depends on
+/// timing, so partial reports are never cached or golden-gated. With
+/// `observe`, trials run under the engine's observation and DES scenarios
+/// harvest per-run facts; the report stays **bit-identical** to an
+/// unobserved one (pinned by `tests/obs_invariance.rs`).
+pub fn run_scenario_with(
     spec: &Scenario,
     quality: Quality,
     master_seed: u64,
     replicates: usize,
-    threads: usize,
-    deadline: engine::Deadline,
-) -> (ScenarioReport, bool) {
-    let scen_seed = scenario_seed(master_seed, spec.name);
-    let trials = engine::trials_for(scen_seed, replicates);
-    let run = spec.run;
-    let (outputs, complete) = engine::run_trials_deadline(trials.len(), threads, deadline, |i| {
-        run(quality, trials[i].seed)
+    opts: RunOpts,
+) -> ScenarioRun {
+    let trials = engine::trials_for(scenario_seed(master_seed, spec.name), replicates);
+    let observed_des = spec.des.filter(|_| opts.observe);
+    let run = engine::run_trials_with(trials.len(), opts, |i| match observed_des {
+        Some(des) => (des.trial)(quality, trials[i].seed, true),
+        None => ((spec.run)(quality, trials[i].seed), TrialFacts::default()),
     });
-    let completed = outputs.len();
-    (
-        reduce_outputs(spec.name, quality, master_seed, completed, &outputs),
-        complete,
-    )
-}
-
-/// [`run_scenario`] with telemetry: trials run through the observed engine
-/// (per-trial timings, lane scratch deltas) and, for scenarios with a
-/// `run_obs` variant, per-run DES/MAC facts; everything folds into `obs`.
-/// The returned report is **bit-identical** to [`run_scenario`]'s — the
-/// facts ride alongside the outputs and never touch them (pinned by
-/// `tests/obs_invariance.rs`).
-pub fn run_scenario_observed(
-    spec: &Scenario,
-    quality: Quality,
-    master_seed: u64,
-    replicates: usize,
-    threads: usize,
-    obs: &mut SweepObs,
-) -> ScenarioReport {
-    let scen_seed = scenario_seed(master_seed, spec.name);
-    let trials = engine::trials_for(scen_seed, replicates);
-    let run = spec.run;
-    let run_obs = spec.run_obs;
-    let (pairs, engine_facts) =
-        engine::run_trials_observed(trials.len(), threads, |i| match run_obs {
-            Some(ro) => ro(quality, trials[i].seed),
-            None => (run(quality, trials[i].seed), TrialFacts::default()),
-        });
-    let (outputs, trial_facts): (Vec<TrialOutput>, Vec<TrialFacts>) = pairs.into_iter().unzip();
-    obs.record_scenario(spec.name, &engine_facts, &trial_facts);
-    reduce_outputs(spec.name, quality, master_seed, replicates, &outputs)
+    let (outputs, trial_facts): (Vec<TrialOutput>, Vec<TrialFacts>) =
+        run.outputs.into_iter().unzip();
+    ScenarioRun {
+        report: reduce_outputs(spec.name, quality, master_seed, outputs.len(), &outputs),
+        complete: run.complete,
+        engine: run.facts,
+        trials: trial_facts,
+    }
 }
 
 /// The shared order-independent reduce: trial outputs (already in trial
-/// order) to `mean ± 95 % CI` per metric. Every `run_scenario` variant goes
-/// through here, so an observed sweep cannot drift from a plain one —
+/// order) to `mean ± 95 % CI` per metric. Every sweep goes through here, so
+/// an observed or partial sweep cannot drift from a plain one —
 /// public so out-of-crate schedulers (the `iac-serve` daemon runs
 /// replicates through its own worker pool) reduce through the identical
 /// code path and their reports stay bit-identical to [`run_scenario`]'s.
@@ -724,8 +651,11 @@ mod tests {
     fn observed_scenario_report_is_bit_identical() {
         let spec = find("sec7_overhead").unwrap();
         let plain = run_scenario(&spec, Quality::Quick, 7, 3, 1);
-        let mut obs = SweepObs::new();
-        let observed = run_scenario_observed(&spec, Quality::Quick, 7, 3, 1, &mut obs);
+        let mut obs = crate::obs::SweepObs::new();
+        let observed = RunOpts { observe: true, ..RunOpts::threads(1) };
+        let run = run_scenario_with(&spec, Quality::Quick, 7, 3, observed);
+        obs.record_scenario(spec.name, &run.engine, &run.trials);
+        let observed = run.report;
         assert_eq!(plain, observed);
         assert_eq!(plain.to_json(), observed.to_json());
         let json = obs.metrics_json();
@@ -739,25 +669,19 @@ mod tests {
     fn deadline_scenario_matches_unbounded_when_generous() {
         let spec = find("sec7_overhead").unwrap();
         let plain = run_scenario(&spec, Quality::Quick, 7, 3, 1);
-        let (bounded, complete) = run_scenario_deadline(
-            &spec,
-            Quality::Quick,
-            7,
-            3,
-            1,
-            engine::Deadline::after(std::time::Duration::from_secs(3600)),
-        );
+        let bounded = |deadline| {
+            let opts = RunOpts { deadline, ..RunOpts::threads(1) };
+            let run = run_scenario_with(&spec, Quality::Quick, 7, 3, opts);
+            (run.report, run.complete)
+        };
+        let (bounded_report, complete) =
+            bounded(engine::Deadline::after(std::time::Duration::from_secs(3600)));
         assert!(complete);
-        assert_eq!(plain, bounded);
+        assert_eq!(plain, bounded_report);
         // An already-expired deadline yields a well-formed empty report.
-        let (empty, complete) = run_scenario_deadline(
-            &spec,
-            Quality::Quick,
-            7,
-            3,
-            1,
-            engine::Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1)),
-        );
+        let (empty, complete) = bounded(engine::Deadline::at(
+            std::time::Instant::now() - std::time::Duration::from_millis(1),
+        ));
         assert!(!complete);
         assert_eq!(empty.replicates, 0);
         assert!(empty.metrics.is_empty());
@@ -777,6 +701,19 @@ mod tests {
         let rebuilt = reduce_outputs(spec.name, Quality::Quick, 7, 3, &outputs);
         assert_eq!(expected, rebuilt);
         assert_eq!(expected.to_json(), rebuilt.to_json());
+    }
+
+    #[test]
+    fn json_f64_matches_report_convention() {
+        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn des_rows_match_the_replayable_list() {
+        let des: Vec<&str> = all().iter().filter(|s| s.des.is_some()).map(|s| s.name).collect();
+        assert_eq!(des, desrec::DES_SCENARIOS);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! windows. Bit-reproducible from the seed — the determinism test runs it
 //! twice and compares raw logs.
 
+use crate::desrec::{self, DesRun, DesScenario};
 use crate::metrics;
-use crate::netsim::{self, CalibratedPhy, NetSim, SourceSpec};
+use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
+use crate::registry::{Quality, TrialOutput};
 use crate::stats::Summary;
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
@@ -178,7 +180,7 @@ pub fn spec_for(config: &CampusConfig) -> NetSim {
 pub fn report_from(
     config: &CampusConfig,
     spec: &NetSim,
-    out: crate::netsim::NetSimOutcome,
+    out: NetSimOutcome,
 ) -> CampusReport {
     let horizon_us = config.horizon_ms * 1e3;
     let up = metrics::latencies_ms(&out.log, Some(true));
@@ -234,10 +236,48 @@ pub fn report_from(
 
 /// Run the scenario.
 pub fn run(config: &CampusConfig) -> CampusReport {
-    let phy = phy_for(config);
-    let spec = spec_for(config);
-    let out = netsim::run_netsim(&spec, phy);
-    report_from(config, &spec, out)
+    desrec::run_report(config)
+}
+
+impl DesScenario for CampusConfig {
+    const NAME: &'static str = "des_campus";
+    type Report = CampusReport;
+
+    fn config(quality: Quality, seed: u64) -> Self {
+        match quality {
+            Quality::Quick => Self::quick(seed),
+            Quality::Paper => Self::paper_default(seed),
+        }
+    }
+
+    fn runs(&self) -> Vec<DesRun> {
+        vec![DesRun {
+            label: "campus".to_string(),
+            spec: spec_for(self),
+            phy: phy_for(self),
+        }]
+    }
+
+    fn report(&self, mut outcomes: impl Iterator<Item = NetSimOutcome>) -> CampusReport {
+        report_from(self, &spec_for(self), desrec::next_outcome(&mut outcomes))
+    }
+
+    fn output(r: &CampusReport) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("delivered_uplink", r.log.delivered_count(true) as f64),
+                ("delivered_downlink", r.log.delivered_count(false) as f64),
+                ("uplink_median_ms", r.uplink_latency_ms.median),
+                ("jain_overall", r.jain_overall),
+                ("throughput_mbps", r.throughput_mbps),
+                // Tail drops at the bounded MAC queues: the campus scenario
+                // constructs every queue via `TrafficQueue::with_capacity`,
+                // so overload sheds load here instead of ballooning memory —
+                // the counter is part of the report's contract.
+                ("drops_overflow", r.log.drops_overflow as f64),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for CampusReport {
@@ -392,7 +432,7 @@ mod tests {
         };
         let r = run(&cfg);
         assert!(r.log.drops_overflow > 0, "overload produced no tail drops");
-        let out = crate::desrec::campus_trial_output(&r);
+        let out = CampusConfig::output(&r);
         let surfaced = out
             .metrics
             .iter()

@@ -20,8 +20,10 @@
 //! magnitude. IAC's knee sits at higher load — consistent with the paper's
 //! ~1.5× uplink gain.
 
+use crate::desrec::{self, DesRun, DesScenario};
 use crate::metrics;
-use crate::netsim::{self, CalibratedPhy, NetSim, SourceSpec};
+use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
+use crate::registry::{Quality, TrialOutput};
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
 use iac_des::pcf::EventPcfConfig;
@@ -176,7 +178,7 @@ pub fn point_spec(cfg: &LoadSweepConfig, load_pps: f64, iac: bool) -> NetSim {
 pub fn point_from(
     cfg: &LoadSweepConfig,
     iac: bool,
-    out: &crate::netsim::NetSimOutcome,
+    out: &NetSimOutcome,
 ) -> SystemPoint {
     let lat = metrics::latencies_ms(&out.log, Some(true));
     let delivered = out.log.delivered_count(true);
@@ -220,12 +222,6 @@ pub fn phys_for(config: &LoadSweepConfig) -> (CalibratedPhy, CalibratedPhy) {
         3,
     );
     (iac_phy, mimo_phy)
-}
-
-fn measure(cfg: &LoadSweepConfig, load_pps: f64, iac: bool, phy: &CalibratedPhy) -> SystemPoint {
-    let spec = point_spec(cfg, load_pps, iac);
-    let out = netsim::run_netsim(&spec, phy.clone());
-    point_from(cfg, iac, &out)
 }
 
 /// The sustained-load knee, linearly interpolated between grid points.
@@ -293,16 +289,73 @@ pub fn report_from(config: &LoadSweepConfig, points: Vec<LoadPoint>) -> LoadSwee
 
 /// Run the sweep.
 pub fn run(config: &LoadSweepConfig) -> LoadSweepReport {
-    let (iac_phy, mimo_phy) = phys_for(config);
-    let mut points = Vec::new();
-    for &load in &config.loads_pps {
-        points.push(LoadPoint {
-            load_pps: load,
-            iac: measure(config, load, true, &iac_phy),
-            mimo: measure(config, load, false, &mimo_phy),
-        });
+    desrec::run_report(config)
+}
+
+impl DesScenario for LoadSweepConfig {
+    const NAME: &'static str = "des_load";
+    type Report = LoadSweepReport;
+
+    fn config(quality: Quality, seed: u64) -> Self {
+        match quality {
+            Quality::Quick => Self::quick(seed),
+            Quality::Paper => Self::paper_default(seed),
+        }
     }
-    report_from(config, points)
+
+    /// IAC then MIMO at each load, loads ascending.
+    fn runs(&self) -> Vec<DesRun> {
+        let (iac_phy, mimo_phy) = phys_for(self);
+        let mut runs = Vec::with_capacity(2 * self.loads_pps.len());
+        for &load in &self.loads_pps {
+            for (system, iac, phy) in [("iac", true, &iac_phy), ("mimo", false, &mimo_phy)] {
+                runs.push(DesRun {
+                    label: format!("{system}_{load:04.0}"),
+                    spec: point_spec(self, load, iac),
+                    phy: phy.clone(),
+                });
+            }
+        }
+        runs
+    }
+
+    fn report(&self, mut outcomes: impl Iterator<Item = NetSimOutcome>) -> LoadSweepReport {
+        let points = self
+            .loads_pps
+            .iter()
+            .map(|&load_pps| LoadPoint {
+                load_pps,
+                iac: point_from(self, true, &desrec::next_outcome(&mut outcomes)),
+                mimo: point_from(self, false, &desrec::next_outcome(&mut outcomes)),
+            })
+            .collect();
+        report_from(self, points)
+    }
+
+    /// The knees are grid-interpolated (see [`interpolated_knee`]), so these
+    /// are continuous in the underlying measurements rather than snapping to
+    /// swept grid loads.
+    fn output(r: &LoadSweepReport) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("load_gain", r.gain()),
+                ("iac_sustained_pps", r.iac_sustained_pps),
+                ("mimo_sustained_pps", r.mimo_sustained_pps),
+                // Sweep-total tail drops at the bounded MAC queues (per
+                // system): overload past the knee must show up as shed load,
+                // not memory growth — both runs construct queues via
+                // `with_capacity`.
+                (
+                    "iac_drops_overflow",
+                    r.points.iter().map(|p| p.iac.overflow_drops).sum::<u64>() as f64,
+                ),
+                (
+                    "mimo_drops_overflow",
+                    r.points.iter().map(|p| p.mimo.overflow_drops).sum::<u64>() as f64,
+                ),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for LoadSweepReport {
@@ -465,7 +518,7 @@ mod tests {
         // The drop counters flow from the per-point logs into the registry
         // trial output, and the overloaded top of the sweep actually drops.
         let r = run(&LoadSweepConfig::quick(36));
-        let out = crate::desrec::load_trial_output(&r);
+        let out = LoadSweepConfig::output(&r);
         let surfaced = |key: &str| {
             out.metrics
                 .iter()

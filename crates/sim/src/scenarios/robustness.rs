@@ -21,8 +21,10 @@
 //!   baseline shape (the graceful-degradation contract, pinned by
 //!   [`CsiAgingReport::min_ratio`] assertions).
 
+use crate::desrec::{self, DesRun, DesScenario};
 use crate::metrics;
 use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
+use crate::registry::{Quality, TrialOutput};
 use crate::testbed::Testbed;
 use iac_channel::estimation::{CsiImpairment, EstimationConfig};
 use iac_des::fault::{ap_churn_schedule, csi_aging_ramp, partition_windows, FaultAt};
@@ -172,24 +174,55 @@ pub struct ChurnReport {
     pub drops_retx: u64,
 }
 
-/// Reduce a completed run to its report. Pure in `(config, outcome)`.
-pub fn churn_report_from(config: &ChurnConfig, out: &NetSimOutcome) -> ChurnReport {
-    ChurnReport {
-        faults: out.log.faults,
-        poll_timeouts: out.log.poll_timeouts,
-        degraded_groups: out.log.degraded_groups,
-        delivery_ratio: delivery_ratio(out),
-        throughput_mbps: uplink_mbps(out, config.horizon_ms),
-        drops_retx: out.log.drops_retx,
-        config: config.clone(),
-    }
-}
-
 /// Run the churn scenario.
 pub fn run_churn(config: &ChurnConfig) -> ChurnReport {
-    let spec = churn_spec(config);
-    let out = netsim::run_netsim(&spec, churn_phy(config));
-    churn_report_from(config, &out)
+    desrec::run_report(config)
+}
+
+impl DesScenario for ChurnConfig {
+    const NAME: &'static str = "rob_ap_churn";
+    type Report = ChurnReport;
+
+    fn config(quality: Quality, seed: u64) -> Self {
+        match quality {
+            Quality::Quick => Self::quick(seed),
+            Quality::Paper => Self::paper_default(seed),
+        }
+    }
+
+    fn runs(&self) -> Vec<DesRun> {
+        vec![DesRun {
+            label: "churn".to_string(),
+            spec: churn_spec(self),
+            phy: churn_phy(self),
+        }]
+    }
+
+    /// Pure in `(config, outcome)`.
+    fn report(&self, mut outcomes: impl Iterator<Item = NetSimOutcome>) -> ChurnReport {
+        let out = desrec::next_outcome(&mut outcomes);
+        ChurnReport {
+            faults: out.log.faults,
+            poll_timeouts: out.log.poll_timeouts,
+            degraded_groups: out.log.degraded_groups,
+            delivery_ratio: delivery_ratio(&out),
+            throughput_mbps: uplink_mbps(&out, self.horizon_ms),
+            drops_retx: out.log.drops_retx,
+            config: self.clone(),
+        }
+    }
+
+    fn output(r: &ChurnReport) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("delivery_ratio", r.delivery_ratio),
+                ("throughput_mbps", r.throughput_mbps),
+                ("faults", r.faults as f64),
+                ("poll_timeouts", r.poll_timeouts as f64),
+                ("degraded_groups", r.degraded_groups as f64),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for ChurnReport {
@@ -313,24 +346,55 @@ pub struct PartitionReport {
     pub retx: u64,
 }
 
-/// Reduce a completed run to its report. Pure in `(config, outcome)`.
-pub fn partition_report_from(config: &PartitionConfig, out: &NetSimOutcome) -> PartitionReport {
-    PartitionReport {
-        faults: out.log.faults,
-        wire_expired: out.log.wire_expired,
-        degraded_groups: out.log.degraded_groups,
-        delivery_ratio: delivery_ratio(out),
-        throughput_mbps: uplink_mbps(out, config.horizon_ms),
-        retx: out.log.retx,
-        config: config.clone(),
-    }
-}
-
 /// Run the partition scenario.
 pub fn run_partition(config: &PartitionConfig) -> PartitionReport {
-    let spec = partition_spec(config);
-    let out = netsim::run_netsim(&spec, partition_phy(config));
-    partition_report_from(config, &out)
+    desrec::run_report(config)
+}
+
+impl DesScenario for PartitionConfig {
+    const NAME: &'static str = "rob_backhaul_partition";
+    type Report = PartitionReport;
+
+    fn config(quality: Quality, seed: u64) -> Self {
+        match quality {
+            Quality::Quick => Self::quick(seed),
+            Quality::Paper => Self::paper_default(seed),
+        }
+    }
+
+    fn runs(&self) -> Vec<DesRun> {
+        vec![DesRun {
+            label: "partition".to_string(),
+            spec: partition_spec(self),
+            phy: partition_phy(self),
+        }]
+    }
+
+    /// Pure in `(config, outcome)`.
+    fn report(&self, mut outcomes: impl Iterator<Item = NetSimOutcome>) -> PartitionReport {
+        let out = desrec::next_outcome(&mut outcomes);
+        PartitionReport {
+            faults: out.log.faults,
+            wire_expired: out.log.wire_expired,
+            degraded_groups: out.log.degraded_groups,
+            delivery_ratio: delivery_ratio(&out),
+            throughput_mbps: uplink_mbps(&out, self.horizon_ms),
+            retx: out.log.retx,
+            config: self.clone(),
+        }
+    }
+
+    fn output(r: &PartitionReport) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("delivery_ratio", r.delivery_ratio),
+                ("throughput_mbps", r.throughput_mbps),
+                ("wire_expired", r.wire_expired as f64),
+                ("degraded_groups", r.degraded_groups as f64),
+                ("retx", r.retx as f64),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for PartitionReport {
@@ -523,39 +587,78 @@ impl CsiAgingReport {
     }
 }
 
-/// Reduce completed runs (baseline, then IAC per severity, ascending) to
-/// the report. Pure in `(config, outcomes)`.
-pub fn aging_report_from(
-    config: &CsiAgingConfig,
-    mimo_out: &NetSimOutcome,
-    iac_outs: &[NetSimOutcome],
-) -> CsiAgingReport {
-    assert_eq!(iac_outs.len(), config.severities, "one IAC run per severity");
-    CsiAgingReport {
-        points: iac_outs
-            .iter()
-            .enumerate()
-            .map(|(severity, out)| AgingPoint {
-                severity,
-                iac_mbps: uplink_mbps(out, config.horizon_ms),
-                degraded_groups: out.log.degraded_groups,
-            })
-            .collect(),
-        mimo_mbps: uplink_mbps(mimo_out, config.horizon_ms),
-        config: config.clone(),
-    }
-}
-
 /// Run the aging sweep.
 pub fn run_csi_aging(config: &CsiAgingConfig) -> CsiAgingReport {
-    let (iac_phys, mimo_phy) = aging_phys(config);
-    let mimo_out = netsim::run_netsim(&aging_mimo_spec(config), mimo_phy);
-    let iac_outs: Vec<NetSimOutcome> = iac_phys
-        .into_iter()
-        .enumerate()
-        .map(|(level, phy)| netsim::run_netsim(&aging_iac_spec(config, level), phy))
-        .collect();
-    aging_report_from(config, &mimo_out, &iac_outs)
+    desrec::run_report(config)
+}
+
+impl DesScenario for CsiAgingConfig {
+    const NAME: &'static str = "rob_csi_aging";
+    type Report = CsiAgingReport;
+
+    fn config(quality: Quality, seed: u64) -> Self {
+        match quality {
+            Quality::Quick => Self::quick(seed),
+            Quality::Paper => Self::paper_default(seed),
+        }
+    }
+
+    /// The MIMO baseline, then IAC per severity, ascending.
+    fn runs(&self) -> Vec<DesRun> {
+        let (iac_phys, mimo_phy) = aging_phys(self);
+        let mut runs = Vec::with_capacity(1 + self.severities);
+        runs.push(DesRun {
+            label: "mimo".to_string(),
+            spec: aging_mimo_spec(self),
+            phy: mimo_phy,
+        });
+        for (level, phy) in iac_phys.into_iter().enumerate() {
+            runs.push(DesRun {
+                label: format!("iac_s{level}"),
+                spec: aging_iac_spec(self, level),
+                phy,
+            });
+        }
+        runs
+    }
+
+    /// Pure in `(config, outcomes)`.
+    fn report(&self, mut outcomes: impl Iterator<Item = NetSimOutcome>) -> CsiAgingReport {
+        let mimo_mbps = uplink_mbps(&desrec::next_outcome(&mut outcomes), self.horizon_ms);
+        let points = (0..self.severities)
+            .map(|severity| {
+                let out = desrec::next_outcome(&mut outcomes);
+                AgingPoint {
+                    severity,
+                    iac_mbps: uplink_mbps(&out, self.horizon_ms),
+                    degraded_groups: out.log.degraded_groups,
+                }
+            })
+            .collect();
+        CsiAgingReport {
+            points,
+            mimo_mbps,
+            config: self.clone(),
+        }
+    }
+
+    /// The clean and worst-severity IAC/MIMO ratios plus the sweep-wide
+    /// floor — the graceful-degradation contract in three numbers (gain
+    /// shrinks with severity, the floor stays at or above the baseline).
+    fn output(r: &CsiAgingReport) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("gain_clean", r.ratio(0)),
+                ("gain_worst", r.ratio(r.points.len() - 1)),
+                ("min_ratio", r.min_ratio()),
+                ("mimo_mbps", r.mimo_mbps),
+                (
+                    "fallback_groups_worst",
+                    r.points.last().map_or(0.0, |p| p.degraded_groups as f64),
+                ),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for CsiAgingReport {

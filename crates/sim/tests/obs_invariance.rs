@@ -2,7 +2,7 @@
 //!
 //! Three layers of pinning:
 //!
-//! 1. **Registry**: `run_scenario_observed` returns a bit-identical
+//! 1. **Registry**: an observed `run_scenario_with` returns a bit-identical
 //!    [`ScenarioReport`] to `run_scenario` for *every* registered scenario,
 //!    at 1 and 4 worker threads.
 //! 2. **Sweep CLI**: `run_sweep`'s stdout bytes are invariant across
@@ -19,16 +19,23 @@
 
 use iac_sim::cli::{run_sweep, SweepArgs};
 use iac_sim::obs::SweepObs;
-use iac_sim::registry::{self, Quality};
+use iac_sim::registry::{self, Quality, Scenario, ScenarioReport};
+use iac_sim::RunOpts;
+
+/// An observed two-replicate quick sweep at `threads`, folded into `obs`.
+fn observe(spec: &Scenario, seed: u64, threads: usize, obs: &mut SweepObs) -> ScenarioReport {
+    let opts = RunOpts { observe: true, ..RunOpts::threads(threads) };
+    let run = registry::run_scenario_with(spec, Quality::Quick, seed, 2, opts);
+    obs.record_scenario(spec.name, &run.engine, &run.trials);
+    run.report
+}
 
 #[test]
 fn observed_reports_are_bit_identical_for_every_scenario() {
     for spec in registry::all() {
         let plain = registry::run_scenario(&spec, Quality::Quick, 11, 2, 1);
         for threads in [1, 4] {
-            let mut obs = SweepObs::new();
-            let observed =
-                registry::run_scenario_observed(&spec, Quality::Quick, 11, 2, threads, &mut obs);
+            let observed = observe(&spec, 11, threads, &mut SweepObs::new());
             assert_eq!(
                 plain, observed,
                 "{}: observed report drifted at {threads} threads",
@@ -43,7 +50,7 @@ fn observed_reports_are_bit_identical_for_every_scenario() {
 fn des_scenario_telemetry_reaches_every_layer() {
     let spec = registry::find("des_campus").unwrap();
     let mut obs = SweepObs::new();
-    registry::run_scenario_observed(&spec, Quality::Quick, 5, 2, 2, &mut obs);
+    observe(&spec, 5, 2, &mut obs);
     let json = obs.metrics_json();
     // Layer by layer: engine, DES queue, per-kind events, MAC, PHY scratch.
     for key in [
@@ -152,11 +159,11 @@ fn metrics_snapshot_merge_matches_single_registry() {
     let campus = registry::find("des_campus").unwrap();
     let load = registry::find("des_load").unwrap();
     let mut ab = SweepObs::new();
-    registry::run_scenario_observed(&campus, Quality::Quick, 3, 2, 1, &mut ab);
-    registry::run_scenario_observed(&load, Quality::Quick, 3, 2, 1, &mut ab);
+    observe(&campus, 3, 1, &mut ab);
+    observe(&load, 3, 1, &mut ab);
     let mut ba = SweepObs::new();
-    registry::run_scenario_observed(&load, Quality::Quick, 3, 2, 1, &mut ba);
-    registry::run_scenario_observed(&campus, Quality::Quick, 3, 2, 1, &mut ba);
+    observe(&load, 3, 1, &mut ba);
+    observe(&campus, 3, 1, &mut ba);
     // Histograms and counters are commutative; only the wall-clock *values*
     // inside timing histograms differ run to run, so compare names + the
     // deterministic counters via the structure of the counter section.

@@ -20,6 +20,7 @@
 use iac_des::log::EventLog;
 use iac_des::NetEvent;
 use iac_sim::desrec::{self, DesRun};
+use iac_sim::Tap;
 use iac_sim::scenarios::{des_campus, des_load, robustness};
 use std::path::PathBuf;
 
@@ -147,8 +148,8 @@ fn committed_logs_record_and_replay_bit_identically() {
         // committed metrics byte-for-byte.
         let log = EventLog::decode(&std::fs::read(&log_path).unwrap())
             .unwrap_or_else(|e| panic!("{stem}: committed log does not decode: {e}"));
-        match desrec::replay(&run, &log) {
-            Ok(replayed) => {
+        match run.execute(Tap::Replay(&log)) {
+            Ok((replayed, _)) => {
                 let committed_json = std::fs::read_to_string(&json_path).unwrap_or_else(|e| {
                     panic!("{stem}: cannot read {} ({e})", json_path.display())
                 });

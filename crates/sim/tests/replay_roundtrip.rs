@@ -15,7 +15,7 @@
 
 use iac_des::NetEvent;
 use iac_sim::registry::{self, Quality};
-use iac_sim::{desrec, engine, DEFAULT_SEED};
+use iac_sim::{desrec, engine, Tap, DEFAULT_SEED};
 
 use iac_des::log::{diff_logs, EventLog};
 
@@ -39,7 +39,7 @@ fn every_des_scenario_roundtrips_bit_identically() {
         let mut plain_outcomes = Vec::with_capacity(runs.len());
         let mut replayed_outcomes = Vec::with_capacity(runs.len());
         for run in &runs {
-            let plain = desrec::run_plain(run);
+            let (plain, _) = run.execute(Tap::None).expect("a plain run cannot diverge");
             let (bytes, recorded) = desrec::record(run);
 
             // Recording is a passive observer: identical outcome.
@@ -56,7 +56,7 @@ fn every_des_scenario_roundtrips_bit_identically() {
             let log = EventLog::decode(&bytes)
                 .unwrap_or_else(|e| panic!("{name}/{}: log decode failed: {e}", run.label));
             assert_eq!(log.len() as u64, plain.events, "{name}/{}", run.label);
-            let replayed = desrec::replay(run, &log).unwrap_or_else(|d| {
+            let (replayed, _) = run.execute(Tap::Replay(&log)).unwrap_or_else(|d| {
                 panic!(
                     "{name}/{}: replay diverged:\n{}",
                     run.label,
@@ -117,7 +117,8 @@ fn recordings_do_not_replay_against_a_different_seed() {
         let log_a = EventLog::decode(&bytes_a).unwrap();
         let log_b = EventLog::decode(&bytes_b).unwrap();
 
-        let d = desrec::replay(&runs_b[0], &log_a)
+        let d = runs_b[0]
+            .execute(Tap::Replay(&log_a))
             .expect_err(&format!("{name}: cross-seed replay must diverge"));
         assert!(
             d.expected.is_some() || d.got.is_some(),
@@ -148,13 +149,14 @@ fn registry_report_matches_replay_reconstruction_per_trial() {
                 .map(|run| {
                     let (bytes, _) = desrec::record(run);
                     let log = EventLog::decode(&bytes).unwrap();
-                    desrec::replay(run, &log).unwrap_or_else(|d| {
+                    let (out, _) = run.execute(Tap::Replay(&log)).unwrap_or_else(|d| {
                         panic!(
                             "{name}/{} trial {trial}: replay diverged:\n{}",
                             run.label,
                             d.render::<NetEvent>()
                         )
-                    })
+                    });
+                    out
                 })
                 .collect();
             let reconstructed = desrec::trial_output_from(name, Quality::Quick, seed, outcomes);
@@ -179,8 +181,8 @@ fn registry_report_matches_replay_reconstruction_per_trial() {
 
 #[test]
 fn observed_replay_is_bit_identical_and_harvests_facts() {
-    // Telemetry on the replay path is passive too: `replay_observed` must
-    // return the exact outcome `replay` does, plus facts whose engine/MAC
+    // Telemetry on the replay path is passive too: the replay tap's facts
+    // ride along with the exact outcome a replay returns, and their engine/MAC
     // numbers match the recording (per-kind counts stay empty — the replay
     // checker owns the observer slot).
     let seed = trial0_seed("des_campus");
@@ -188,9 +190,11 @@ fn observed_replay_is_bit_identical_and_harvests_facts() {
     for run in &runs {
         let (bytes, _) = desrec::record(run);
         let log = EventLog::decode(&bytes).unwrap();
-        let plain = desrec::replay(run, &log)
+        let (plain, _) = run
+            .execute(Tap::Replay(&log))
             .unwrap_or_else(|d| panic!("plain replay diverged:\n{}", d.render::<NetEvent>()));
-        let (observed, facts) = desrec::replay_observed(run, &log)
+        let (observed, facts) = run
+            .execute(Tap::Replay(&log))
             .unwrap_or_else(|d| panic!("observed replay diverged:\n{}", d.render::<NetEvent>()));
         assert_eq!(plain.log, observed.log, "{}: telemetry perturbed replay", run.label);
         assert_eq!(plain.events, observed.events, "{}", run.label);

@@ -32,8 +32,8 @@
 //! stdout summaries are byte-identical with or without them.
 
 use iac_lan::des::log::{render_diff, EventLog};
-use iac_lan::des::NetEvent;
-use iac_lan::sim::desrec;
+use iac_lan::des::{EventRecorder, NetEvent};
+use iac_lan::sim::{desrec, Tap};
 use iac_lan::sim::registry::{self, Quality, TrialOutput};
 use iac_lan::sim::DEFAULT_SEED;
 use std::io::Write as _;
@@ -180,8 +180,11 @@ fn cmd_record(args: &[String]) {
         let file = std::io::BufWriter::new(
             std::fs::File::create(&log_path).expect("create log file"),
         );
-        let out = iac_lan::sim::netsim::run_netsim_recorded(&run.spec, run.phy.clone(), file)
-            .expect("write event log");
+        let recorder = EventRecorder::to_writer(file).expect("write event log");
+        let (out, _) = run
+            .execute(Tap::Record(&recorder))
+            .expect("a recording run cannot diverge");
+        recorder.finish().expect("write event log");
         std::fs::write(
             a.dir.join(format!("{}.metrics.json", run.label)),
             out.log.to_json(),
@@ -225,17 +228,17 @@ fn cmd_replay(args: &[String]) {
         if a.progress {
             eprintln!("[replay] {}: verifying {} event(s) ...", run.label, log.len());
         }
-        let replayed = if telemetry {
-            let _span = iac_lan::obs::span!(prof, "run");
-            desrec::replay_observed(run, &log).map(|(out, facts)| {
-                obs.record_des_run(&facts);
-                out
-            })
-        } else {
-            desrec::replay(run, &log)
+        let replayed = {
+            let _span = telemetry.then(|| iac_lan::obs::span!(prof, "run"));
+            run.execute(Tap::Replay(&log))
         };
         let out = match replayed {
-            Ok(out) => out,
+            Ok((out, facts)) => {
+                if telemetry {
+                    obs.record_des_run(&facts);
+                }
+                out
+            }
             Err(d) => {
                 eprintln!("[replay] {} DIVERGED:\n{}", run.label, d.render::<NetEvent>());
                 std::process::exit(1);
