@@ -28,8 +28,9 @@ use iac_channel::{Awgn, Cfo};
 /// payload at 1 sample/bit, the paper's prototype shape.
 pub const PACKET_SAMPLES: usize = 12_000;
 
-/// Alignment-solver costs (closed form, optimised seed scoring, iterative
-/// leakage minimisation) as functions of the antenna count.
+/// Alignment-solver costs (closed form, optimised seed scoring, Fig. 15
+/// group scoring, iterative leakage minimisation) as functions of the
+/// antenna count.
 pub fn register_alignment(c: &mut Criterion) {
     let mut group = c.benchmark_group("alignment");
     let mut rng = Rng64::new(1);
@@ -41,6 +42,42 @@ pub fn register_alignment(c: &mut Criterion) {
     group.bench_function("uplink4_optimized_2x2", |b| {
         b.iter(|| optimize::uplink4_optimized(&grid3, 1.0, 0.05).unwrap())
     });
+    // The Fig. 15 leader's hot loop: score every brute-force group (head
+    // plus an ordered companion pair, 16·15 = 240 for the paper's 17
+    // clients) of one slot's estimates on a warm scorer.
+    {
+        use iac_sim::scenarios::fig15::{Direction15, GroupScorer};
+        use iac_sim::{ExperimentConfig, Testbed};
+        let cfg = ExperimentConfig::paper_default(6);
+        let mut r = Rng64::new(6);
+        let testbed = Testbed::deploy(20, 2, &mut r);
+        let (aps, clients) = testbed.pick_roles(3, 17, &mut r);
+        for (name, direction) in [
+            ("fig15_score_slot_uplink", Direction15::Uplink),
+            ("fig15_score_slot_downlink", Direction15::Downlink),
+        ] {
+            let est = match direction {
+                Direction15::Uplink => testbed.uplink_grid(&clients, &aps, &mut r),
+                Direction15::Downlink => testbed.downlink_grid(&aps, &clients, &mut r),
+            }
+            .estimated(&cfg.est, &mut r);
+            let mut scorer = GroupScorer::new(direction, &cfg, clients.len(), aps.len());
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    let mut slot = scorer.slot(&est);
+                    let mut total = 0.0;
+                    for a in 1..17u16 {
+                        for c in 1..17u16 {
+                            if a != c {
+                                total += slot.score(&[0, a, c]);
+                            }
+                        }
+                    }
+                    total
+                })
+            });
+        }
+    }
     for m in [3usize, 4] {
         let schedule = DecodeSchedule::uplink_2m(m);
         let clients = schedule.owners.iter().max().unwrap() + 1;

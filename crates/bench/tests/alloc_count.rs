@@ -2,7 +2,9 @@
 //! wraps `System`, the full steady-state sample loop (precode → medium mix →
 //! project → cancel-reconstruct/subtract → OFDM symbol → planned FFT → fast
 //! convolution) runs on warm `_into` buffers, and the heap counter must not
-//! move.
+//! move. The same holds for the Fig. 15 leader's group scoring: once its
+//! scorer is warm, scoring every brute-force group of a slot allocates
+//! nothing.
 //!
 //! Registered with `harness = false` (a plain `fn main`): the measured
 //! window must be the only live thread in the process — libtest's harness
@@ -282,7 +284,56 @@ fn observed_des_steady_state_is_allocation_free() {
     println!("alloc_count: 1000 observed DES steps performed 0 heap allocations — ok");
 }
 
+/// The group-scoring half: every ordered brute-force group (head plus two
+/// companions, 16·15 = 240 for the paper's 17 clients) of one slot's
+/// estimates, uplink and downlink, scored on a warm scorer.
+fn group_scoring_is_allocation_free() {
+    use iac_sim::scenarios::fig15::{Direction15, GroupScorer};
+    use iac_sim::{ExperimentConfig, Testbed};
+    let cfg = ExperimentConfig::paper_default(0xA110C);
+    let mut rng = Rng64::new(0xA110C);
+    let testbed = Testbed::deploy(20, 2, &mut rng);
+    let (aps, clients) = testbed.pick_roles(3, 17, &mut rng);
+    for direction in [Direction15::Uplink, Direction15::Downlink] {
+        let est = match direction {
+            Direction15::Uplink => testbed.uplink_grid(&clients, &aps, &mut rng),
+            Direction15::Downlink => testbed.downlink_grid(&aps, &clients, &mut rng),
+        }
+        .estimated(&cfg.est, &mut rng);
+        let mut scorer = GroupScorer::new(direction, &cfg, clients.len(), aps.len());
+        let score_slot = |scorer: &mut GroupScorer| {
+            let mut slot = scorer.slot(&est);
+            let mut total = 0.0;
+            for a in 1..17u16 {
+                for b in 1..17u16 {
+                    if a != b {
+                        total += slot.score(&[0, a, b]);
+                    }
+                }
+            }
+            total
+        };
+        let warm = score_slot(&mut scorer);
+        let before = allocations();
+        let total = score_slot(&mut scorer);
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{direction:?} slot scoring allocated {} time(s)",
+            after - before
+        );
+        assert_eq!(total.to_bits(), warm.to_bits(), "scoring is a pure function");
+        assert!(total > 0.0);
+        assert_eq!(scorer.stats().scored, 480);
+        println!(
+            "alloc_count: {direction:?} scoring of 240 groups performed 0 heap allocations — ok"
+        );
+    }
+}
+
 fn main() {
+    group_scoring_is_allocation_free();
     des_steady_state_is_allocation_free();
     observed_des_steady_state_is_allocation_free();
     let mut pipe = Pipeline::new();

@@ -14,10 +14,10 @@
 //!   through the estimation *error* `(H − Ĥ)·v` (§6, footnote 5).
 //! * **Noise** — AWGN of configurable power at every receive antenna.
 
-use crate::grid::ChannelGrid;
-use crate::schedule::DecodeSchedule;
-use crate::solver::decoding_vectors;
-use iac_linalg::{CVec, Result};
+use crate::grid::{ChannelGrid, GridView};
+use crate::schedule::{DecodeSchedule, InterferenceSet};
+use crate::solver::{decoding_vectors_into, VectorScratch};
+use iac_linalg::{CMat, CVec, Result};
 
 /// Post-processing SINR of one decoded packet.
 #[derive(Debug, Clone, Copy)]
@@ -40,8 +40,7 @@ pub struct DecodeOutcome {
 impl DecodeOutcome {
     /// Eq. 9 achievable rate over all concurrent packets.
     pub fn rate_bits_per_hz(&self) -> f64 {
-        let s: Vec<f64> = self.sinrs.iter().map(|p| p.sinr).collect();
-        crate::rate::rate_bits_per_hz(&s)
+        crate::rate::sum_rate(self.sinrs.iter().map(|p| p.sinr))
     }
 
     /// SINR of a specific packet.
@@ -67,13 +66,10 @@ impl DecodeOutcome {
 /// sending one packet puts its whole budget (both antennas) behind it —
 /// the source of IAC's diversity gain in §10.1.
 pub fn equal_split_powers(schedule: &DecodeSchedule, per_node_power: f64) -> Vec<f64> {
-    let n = schedule.n_packets();
-    let mut per_owner = std::collections::HashMap::new();
-    for &o in &schedule.owners {
-        *per_owner.entry(o).or_insert(0usize) += 1;
-    }
-    (0..n)
-        .map(|p| per_node_power / per_owner[&schedule.owners[p]] as f64)
+    let owners = &schedule.owners;
+    owners
+        .iter()
+        .map(|&o| per_node_power / owners.iter().filter(|&&x| x == o).count() as f64)
         .collect()
 }
 
@@ -98,59 +94,134 @@ pub struct IacDecoder<'a> {
 impl IacDecoder<'_> {
     /// Run the chain and report every packet's post-processing SINR.
     pub fn decode(&self) -> Result<DecodeOutcome> {
-        assert_eq!(self.encoding.len(), self.schedule.n_packets());
-        assert_eq!(self.packet_power.len(), self.schedule.n_packets());
         let sets = self.schedule.interference_sets();
         let mut sinrs = Vec::with_capacity(self.schedule.n_packets());
+        DecodeChain {
+            true_grid: self.true_grid.view(),
+            est_grid: self.est_grid.view(),
+            schedule: self.schedule,
+            sets: &sets,
+            encoding: self.encoding,
+            packet_power: &self.packet_power,
+            noise_power: self.noise_power,
+        }
+        .decode_into(&mut DecodeScratch::default(), &mut sinrs)?;
+        Ok(DecodeOutcome { sinrs })
+    }
+}
+
+/// The decode chain over borrowed grid views, with the schedule's
+/// interference sets precomputed: the single body behind
+/// [`IacDecoder::decode`] and [`crate::optimize::predicted_rate`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DecodeChain<'a> {
+    /// What the air actually does.
+    pub(crate) true_grid: GridView<'a>,
+    /// What the receivers think the channels are.
+    pub(crate) est_grid: GridView<'a>,
+    /// The decode schedule.
+    pub(crate) schedule: &'a DecodeSchedule,
+    /// `schedule.interference_sets()`, computed once by the caller.
+    pub(crate) sets: &'a [InterferenceSet],
+    /// Unit-norm encoding vectors.
+    pub(crate) encoding: &'a [CVec],
+    /// Per-packet transmit power.
+    pub(crate) packet_power: &'a [f64],
+    /// Complex noise power per receive antenna.
+    pub(crate) noise_power: f64,
+}
+
+/// Working storage for [`DecodeChain::decode_into`]; a warm scratch makes
+/// the chain allocation-free.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DecodeScratch {
+    vectors: VectorScratch,
+    us: Vec<CVec>,
+    img: CVec,
+    h_err: CMat,
+}
+
+impl DecodeChain<'_> {
+    /// Run the chain, writing every packet's SINR (schedule order) to `out`.
+    pub(crate) fn decode_into(
+        &self,
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<PacketSinr>,
+    ) -> Result<()> {
+        assert_eq!(self.encoding.len(), self.schedule.n_packets());
+        assert_eq!(self.packet_power.len(), self.schedule.n_packets());
+        out.clear();
+        let owners = &self.schedule.owners;
+        let DecodeScratch {
+            vectors,
+            us,
+            img,
+            h_err,
+        } = scratch;
         for (step_idx, step) in self.schedule.steps.iter().enumerate() {
+            let (receiver, ref interf, _) = self.sets[step_idx];
             // Decoding vectors are computed from the ESTIMATED grid: this is
             // all the receiver knows.
-            let us = decoding_vectors(self.est_grid, self.schedule, step_idx, self.encoding)?;
-            let (receiver, ref interf, _) = sets[step_idx];
+            decoding_vectors_into(
+                self.est_grid,
+                self.schedule,
+                step_idx,
+                interf,
+                self.encoding,
+                vectors,
+                us,
+            )?;
             for (u, &p) in us.iter().zip(&step.decode) {
                 let mut num = 0.0;
                 let mut den = self.noise_power; // ‖u‖ = 1
                 // Signal through the true channel.
-                let own = self
-                    .true_grid
-                    .link(self.schedule.owners[p], receiver)
-                    .mul_vec(&self.encoding[p]);
-                num += self.packet_power[p] * u.dot(&own).norm_sqr();
+                self.true_grid
+                    .link(owners[p], receiver)
+                    .mul_vec_into(&self.encoding[p], img);
+                num += self.packet_power[p] * u.dot(img).norm_sqr();
                 // Residual aligned interference (true channel ≠ estimate).
                 for &q in interf {
-                    let img = self
-                        .true_grid
-                        .link(self.schedule.owners[q], receiver)
-                        .mul_vec(&self.encoding[q]);
-                    den += self.packet_power[q] * u.dot(&img).norm_sqr();
+                    self.true_grid
+                        .link(owners[q], receiver)
+                        .mul_vec_into(&self.encoding[q], img);
+                    den += self.packet_power[q] * u.dot(img).norm_sqr();
                 }
                 // Cross-talk from co-decoded packets of this step.
                 for &q in &step.decode {
                     if q == p {
                         continue;
                     }
-                    let img = self
-                        .true_grid
-                        .link(self.schedule.owners[q], receiver)
-                        .mul_vec(&self.encoding[q]);
-                    den += self.packet_power[q] * u.dot(&img).norm_sqr();
+                    self.true_grid
+                        .link(owners[q], receiver)
+                        .mul_vec_into(&self.encoding[q], img);
+                    den += self.packet_power[q] * u.dot(img).norm_sqr();
                 }
                 // Cancellation residuals: subtracted via the estimate, so
                 // what remains is the packet through (H − Ĥ).
                 for &c in &step.cancel {
-                    let h_err = self.true_grid.link(self.schedule.owners[c], receiver)
-                        - self.est_grid.link(self.schedule.owners[c], receiver);
-                    let img = h_err.mul_vec(&self.encoding[c]);
-                    den += self.packet_power[c] * u.dot(&img).norm_sqr();
+                    self.true_grid
+                        .link(owners[c], receiver)
+                        .sub_into(self.est_grid.link(owners[c], receiver), h_err);
+                    h_err.mul_vec_into(&self.encoding[c], img);
+                    den += self.packet_power[c] * u.dot(img).norm_sqr();
                 }
-                sinrs.push(PacketSinr {
+                out.push(PacketSinr {
                     packet: p,
                     receiver,
                     sinr: num / den,
                 });
             }
         }
-        Ok(DecodeOutcome { sinrs })
+        Ok(())
+    }
+
+    /// Eq. 9 rate of the chain, `0` when the chain fails (the leader's
+    /// score for an undecodable configuration). `sinrs` is scratch.
+    pub(crate) fn rate(&self, scratch: &mut DecodeScratch, sinrs: &mut Vec<PacketSinr>) -> f64 {
+        match self.decode_into(scratch, sinrs) {
+            Ok(()) => crate::rate::sum_rate(sinrs.iter().map(|p| p.sinr)),
+            Err(_) => 0.0,
+        }
     }
 }
 

@@ -74,6 +74,11 @@ impl ChannelGrid {
         &self.h[tx][rx]
     }
 
+    /// The whole grid as a [`GridView`].
+    pub(crate) fn view(&self) -> GridView<'_> {
+        GridView::new(self, None, None)
+    }
+
     /// Grid direction.
     pub fn direction(&self) -> Direction {
         self.direction
@@ -134,6 +139,52 @@ impl ChannelGrid {
     }
 }
 
+/// A borrowed sub-grid: link `(t, r)` of the view is link
+/// `(tx[t], rx[r])` of the underlying grid, and `None` keeps every index
+/// in order. Scoring a candidate group reads its links through a view
+/// instead of cloning them into a new [`ChannelGrid`].
+#[derive(Debug, Clone, Copy)]
+pub struct GridView<'a> {
+    grid: &'a ChannelGrid,
+    tx: Option<&'a [usize]>,
+    rx: Option<&'a [usize]>,
+}
+
+impl<'a> GridView<'a> {
+    /// View `grid` through optional transmitter and receiver index maps.
+    pub fn new(grid: &'a ChannelGrid, tx: Option<&'a [usize]>, rx: Option<&'a [usize]>) -> Self {
+        Self { grid, tx, rx }
+    }
+
+    /// Channel from view transmitter `tx` to view receiver `rx`.
+    #[inline]
+    pub fn link(&self, tx: usize, rx: usize) -> &'a CMat {
+        let t = self.tx.map_or(tx, |m| m[tx]);
+        let r = self.rx.map_or(rx, |m| m[rx]);
+        self.grid.link(t, r)
+    }
+
+    /// Grid direction.
+    pub fn direction(&self) -> Direction {
+        self.grid.direction()
+    }
+
+    /// Number of transmitters in the view.
+    pub fn transmitters(&self) -> usize {
+        self.tx.map_or(self.grid.transmitters(), <[usize]>::len)
+    }
+
+    /// Number of receivers in the view.
+    pub fn receivers(&self) -> usize {
+        self.rx.map_or(self.grid.receivers(), <[usize]>::len)
+    }
+
+    /// Receiver antenna count.
+    pub fn rx_antennas(&self) -> usize {
+        self.grid.rx_antennas()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +228,25 @@ mod tests {
         assert!(d > 0.0 && d < 0.5, "estimation perturbation {d}");
         let perfect = g.estimated(&EstimationConfig::perfect(), &mut rng);
         assert_eq!(perfect.link(1, 1), g.link(1, 1));
+    }
+
+    #[test]
+    fn view_maps_indices_without_copying() {
+        let mut rng = Rng64::new(5);
+        let g = ChannelGrid::random(Direction::Uplink, 4, 3, 2, 2, &mut rng);
+        let order = [2, 0, 3];
+        let v = GridView::new(&g, Some(&order), None);
+        assert_eq!((v.transmitters(), v.receivers()), (3, 3));
+        for (t, &gt) in order.iter().enumerate() {
+            for r in 0..3 {
+                assert!(std::ptr::eq(v.link(t, r), g.link(gt, r)));
+            }
+        }
+        let cols = [1, 2];
+        let w = GridView::new(&g, None, Some(&cols));
+        assert_eq!((w.transmitters(), w.receivers()), (4, 2));
+        assert!(std::ptr::eq(w.link(3, 0), g.link(3, 1)));
+        assert!(std::ptr::eq(g.view().link(1, 2), g.link(1, 2)));
     }
 
     #[test]

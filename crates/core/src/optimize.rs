@@ -16,10 +16,10 @@
 //! they just choose better members of the solution family.
 
 use crate::closed_form::AlignedConfig;
-use crate::decoder::{equal_split_powers, IacDecoder};
-use crate::grid::{ChannelGrid, Direction};
-use crate::schedule::{DecodeSchedule, DecodeStep};
-use iac_linalg::{eig2, CVec, LinAlgError, Result, Rng64};
+use crate::decoder::{equal_split_powers, DecodeChain, DecodeScratch, PacketSinr};
+use crate::grid::{ChannelGrid, Direction, GridView};
+use crate::schedule::{DecodeSchedule, DecodeStep, InterferenceSet};
+use iac_linalg::{eig2_into, CMat, CVec, LinAlgError, Lu, Result, Rng64, C64};
 
 /// How many random alignment seeds the leader scores per configuration.
 pub const DEFAULT_SEED_CANDIDATES: usize = 8;
@@ -34,17 +34,17 @@ pub fn predicted_rate(
     noise: f64,
 ) -> f64 {
     let powers = equal_split_powers(&config.schedule, per_node_power);
-    IacDecoder {
-        true_grid: est_grid,
-        est_grid,
+    let sets = config.schedule.interference_sets();
+    DecodeChain {
+        true_grid: est_grid.view(),
+        est_grid: est_grid.view(),
         schedule: &config.schedule,
+        sets: &sets,
         encoding: &config.encoding,
-        packet_power: powers,
+        packet_power: &powers,
         noise_power: noise,
     }
-    .decode()
-    .map(|o| o.rate_bits_per_hz())
-    .unwrap_or(0.0)
+    .rate(&mut DecodeScratch::default(), &mut Vec::new())
 }
 
 /// Beamform an unconstrained packet: given the receive projection `u` its AP
@@ -112,6 +112,105 @@ pub fn uplink3_optimized(
     Ok(best.expect("candidates >= 1").1)
 }
 
+/// Reusable state for scoring the candidates of one configuration shape:
+/// the schedule, its interference sets and power split (built once), the
+/// winning configuration, and every temporary of the optimiser and the
+/// decode chain. Warm, it makes [`uplink4_scored`] and
+/// [`downlink3_scored`] allocation-free.
+#[derive(Debug, Clone)]
+pub struct ScoreScratch {
+    best: AlignedConfig,
+    candidate: Vec<CVec>,
+    sets: Vec<InterferenceSet>,
+    powers: Vec<f64>,
+    noise: f64,
+    decode: DecodeScratch,
+    sinrs: Vec<PacketSinr>,
+    pairs: [(C64, CVec); 2],
+    t0: CMat,
+    t1: CMat,
+    t2: CMat,
+    prod: CMat,
+    lu: Lu,
+    m0: CMat,
+    m1: CMat,
+    w: CVec,
+    u0: CVec,
+}
+
+impl ScoreScratch {
+    fn new(schedule: DecodeSchedule, per_node_power: f64, noise: f64) -> Self {
+        let n = schedule.n_packets();
+        Self {
+            sets: schedule.interference_sets(),
+            powers: equal_split_powers(&schedule, per_node_power),
+            best: AlignedConfig {
+                schedule,
+                encoding: vec![CVec::default(); n],
+            },
+            candidate: vec![CVec::default(); n],
+            noise,
+            decode: DecodeScratch::default(),
+            sinrs: Vec::new(),
+            pairs: Default::default(),
+            t0: CMat::default(),
+            t1: CMat::default(),
+            t2: CMat::default(),
+            prod: CMat::default(),
+            lu: Lu::default(),
+            m0: CMat::default(),
+            m1: CMat::default(),
+            w: CVec::default(),
+            u0: CVec::default(),
+        }
+    }
+
+    /// Scratch for [`uplink4_scored`] (schedule `uplink_2m(2)`).
+    pub fn uplink4(per_node_power: f64, noise: f64) -> Self {
+        Self::new(DecodeSchedule::uplink_2m(2), per_node_power, noise)
+    }
+
+    /// Scratch for [`downlink3_scored`] (schedule `downlink_3_packets`).
+    pub fn downlink3(per_node_power: f64, noise: f64) -> Self {
+        Self::new(DecodeSchedule::downlink_3_packets(), per_node_power, noise)
+    }
+
+    /// The winning configuration of the last scoring call; meaningful
+    /// only when that call returned `Ok`.
+    pub fn config(&self) -> &AlignedConfig {
+        &self.best
+    }
+
+    /// Predicted rate of `self.candidate` on `est`; when it beats `best`
+    /// (or is the first), the candidate becomes the winner.
+    fn keep_if_better(&mut self, est: GridView<'_>, best: &mut Option<f64>) {
+        let score = DecodeChain {
+            true_grid: est,
+            est_grid: est,
+            schedule: &self.best.schedule,
+            sets: &self.sets,
+            encoding: &self.candidate,
+            packet_power: &self.powers,
+            noise_power: self.noise,
+        }
+        .rate(&mut self.decode, &mut self.sinrs);
+        if best.is_none_or(|b| score > b) {
+            *best = Some(score);
+            std::mem::swap(&mut self.best.encoding, &mut self.candidate);
+        }
+    }
+}
+
+fn check_shape(est: GridView<'_>, direction: Direction, what: &'static str) -> Result<()> {
+    if est.direction() != direction || est.transmitters() != 3 || est.receivers() != 3 {
+        return Err(LinAlgError::Degenerate(what));
+    }
+    Ok(())
+}
+
+const UPLINK4_SHAPE: &str = "uplink4 needs 3 clients and 3 APs";
+const DOWNLINK3_SHAPE: &str = "downlink3 needs 3 APs and 3 clients";
+
 /// Optimised four-packet uplink (Fig. 5 / footnote 4).
 ///
 /// The eigenproblem admits exactly two alignment solutions (the two
@@ -122,50 +221,59 @@ pub fn uplink4_optimized(
     per_node_power: f64,
     noise: f64,
 ) -> Result<AlignedConfig> {
-    if est_grid.direction() != Direction::Uplink
-        || est_grid.transmitters() != 3
-        || est_grid.receivers() != 3
-    {
-        return Err(LinAlgError::Degenerate("uplink4 needs 3 clients and 3 APs"));
-    }
-    let prod = est_grid
-        .link(2, 1)
-        .inverse()?
-        .mul_mat(est_grid.link(1, 1))
-        .mul_mat(&est_grid.link(1, 0).inverse()?)
-        .mul_mat(est_grid.link(2, 0));
-    let pairs = eig2(&prod)?;
-    let schedule = DecodeSchedule::uplink_2m(2);
-    let mut best: Option<(f64, AlignedConfig)> = None;
-    for (_, v3) in pairs {
-        let v3 = v3.normalize()?;
-        let v2 = est_grid
-            .link(1, 0)
-            .inverse()?
-            .mul_mat(est_grid.link(2, 0))
-            .mul_vec(&v3)
-            .normalize()?;
-        let v1 = est_grid
-            .link(0, 0)
-            .inverse()?
-            .mul_mat(est_grid.link(2, 0))
-            .mul_vec(&v3)
-            .normalize()?;
-        // AP0 projects orthogonally to the aligned triple; beamform v0 to it.
-        let aligned = est_grid.link(0, 0).mul_vec(&v1);
-        let u0 = aligned.orth_2d()?;
-        let v0 = matched_encoding(est_grid.link(0, 0), &u0)?;
-        let config = AlignedConfig {
-            schedule: schedule.clone(),
-            encoding: vec![v0, v1, v2, v3],
+    check_shape(est_grid.view(), Direction::Uplink, UPLINK4_SHAPE)?;
+    let inv21 = est_grid.link(2, 1).inverse()?;
+    let inv10 = est_grid.link(1, 0).inverse()?;
+    let inv00 = est_grid.link(0, 0).inverse()?;
+    let mut scratch = ScoreScratch::uplink4(per_node_power, noise);
+    uplink4_scored(est_grid.view(), [&inv21, &inv10, &inv00], &mut scratch)?;
+    Ok(scratch.best)
+}
+
+/// The single body of [`uplink4_optimized`], on a grid view with the link
+/// inverses `inv = [H(2,1)⁻¹, H(1,0)⁻¹, H(0,0)⁻¹]` supplied by the caller
+/// (a scorer reuses them across every group sharing those links).
+///
+/// For each eigen-solution `v3` of `H(2,1)⁻¹·H(1,1)·H(1,0)⁻¹·H(2,0)`:
+/// `v2 ∝ H(1,0)⁻¹·H(2,0)·v3` and `v1 ∝ H(0,0)⁻¹·H(2,0)·v3` align the
+/// triple at AP 0, and `v0` is beamformed onto AP 0's projection. Returns
+/// the winner's predicted rate; the winner is [`ScoreScratch::config`].
+pub fn uplink4_scored(
+    est: GridView<'_>,
+    inv: [&CMat; 3],
+    scratch: &mut ScoreScratch,
+) -> Result<f64> {
+    check_shape(est, Direction::Uplink, UPLINK4_SHAPE)?;
+    let [inv21, inv10, inv00] = inv;
+    let s = &mut *scratch;
+    inv21.mul_mat_into(est.link(1, 1), &mut s.t0);
+    s.t0.mul_mat_into(inv10, &mut s.t1);
+    s.t1.mul_mat_into(est.link(2, 0), &mut s.prod);
+    eig2_into(&s.prod, &mut s.pairs)?;
+    // The same for both solutions: the maps from v3 to v2 and to v1, and
+    // AP 0's matched filter.
+    inv10.mul_mat_into(est.link(2, 0), &mut s.m1);
+    inv00.mul_mat_into(est.link(2, 0), &mut s.m0);
+    est.link(0, 0).hermitian_into(&mut s.t2);
+    let mut best = None;
+    for k in 0..2 {
+        let s = &mut *scratch;
+        let [v0, v1, v2, v3] = &mut s.candidate[..] else {
+            panic!("uplink4_scored needs ScoreScratch::uplink4")
         };
-        let score = predicted_rate(est_grid, &config, per_node_power, noise);
-        if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
-            best = Some((score, config));
-        }
+        s.pairs[k].1.normalize_into(v3)?;
+        s.m1.mul_vec_into(v3, &mut s.w);
+        s.w.normalize_into(v2)?;
+        s.m0.mul_vec_into(v3, &mut s.w);
+        s.w.normalize_into(v1)?;
+        // AP0 projects orthogonally to the aligned triple; beamform v0 to it.
+        est.link(0, 0).mul_vec_into(v1, &mut s.w);
+        s.w.orth_2d_into(&mut s.u0)?;
+        s.t2.mul_vec_into(&s.u0, &mut s.w);
+        s.w.normalize_into(v0)?;
+        scratch.keep_if_better(est, &mut best);
     }
-    best.map(|(_, c)| c)
-        .ok_or(LinAlgError::Degenerate("no eigen solution"))
+    Ok(best.expect("two eigen solutions"))
 }
 
 /// Optimised three-packet downlink (Fig. 6 / Eqs. 5–7): the eigenproblem's
@@ -176,48 +284,52 @@ pub fn downlink3_optimized(
     per_node_power: f64,
     noise: f64,
 ) -> Result<AlignedConfig> {
-    if est_grid.direction() != Direction::Downlink
-        || est_grid.transmitters() != 3
-        || est_grid.receivers() != 3
-    {
-        return Err(LinAlgError::Degenerate("downlink3 needs 3 APs and 3 clients"));
-    }
-    let a = est_grid
-        .link(1, 2)
-        .mul_mat(&est_grid.link(1, 0).inverse()?)
-        .mul_mat(est_grid.link(2, 0));
-    let b = est_grid
-        .link(0, 2)
-        .mul_mat(&est_grid.link(0, 1).inverse()?)
-        .mul_mat(est_grid.link(2, 1));
-    let prod = a.inverse()?.mul_mat(&b);
-    let pairs = eig2(&prod)?;
-    let mut best: Option<(f64, AlignedConfig)> = None;
-    for (_, v2) in pairs {
-        let v2 = v2.normalize()?;
-        let v1 = est_grid
-            .link(1, 0)
-            .inverse()?
-            .mul_mat(est_grid.link(2, 0))
-            .mul_vec(&v2)
-            .normalize()?;
-        let v0 = est_grid
-            .link(0, 1)
-            .inverse()?
-            .mul_mat(est_grid.link(2, 1))
-            .mul_vec(&v2)
-            .normalize()?;
-        let config = AlignedConfig {
-            schedule: DecodeSchedule::downlink_3_packets(),
-            encoding: vec![v0, v1, v2],
+    check_shape(est_grid.view(), Direction::Downlink, DOWNLINK3_SHAPE)?;
+    let inv10 = est_grid.link(1, 0).inverse()?;
+    let inv01 = est_grid.link(0, 1).inverse()?;
+    let mut scratch = ScoreScratch::downlink3(per_node_power, noise);
+    downlink3_scored(est_grid.view(), [&inv10, &inv01], &mut scratch)?;
+    Ok(scratch.best)
+}
+
+/// The single body of [`downlink3_optimized`], on a grid view with the
+/// link inverses `inv = [H(1,0)⁻¹, H(0,1)⁻¹]` supplied by the caller.
+///
+/// With `A = H(1,2)·H(1,0)⁻¹·H(2,0)` and `B = H(0,2)·H(0,1)⁻¹·H(2,1)`, each
+/// eigen-solution `v2` of `A⁻¹·B` gives `v1 ∝ H(1,0)⁻¹·H(2,0)·v2` and
+/// `v0 ∝ H(0,1)⁻¹·H(2,1)·v2`. Returns the winner's predicted rate; the
+/// winner is [`ScoreScratch::config`].
+pub fn downlink3_scored(
+    est: GridView<'_>,
+    inv: [&CMat; 2],
+    scratch: &mut ScoreScratch,
+) -> Result<f64> {
+    check_shape(est, Direction::Downlink, DOWNLINK3_SHAPE)?;
+    let [inv10, inv01] = inv;
+    let s = &mut *scratch;
+    est.link(1, 2).mul_mat_into(inv10, &mut s.t0);
+    s.t0.mul_mat_into(est.link(2, 0), &mut s.t1); // A
+    est.link(0, 2).mul_mat_into(inv01, &mut s.t0);
+    s.t0.mul_mat_into(est.link(2, 1), &mut s.t2); // B
+    s.t1.inverse_into(&mut s.t0, &mut s.lu)?;
+    s.t0.mul_mat_into(&s.t2, &mut s.prod);
+    eig2_into(&s.prod, &mut s.pairs)?;
+    inv10.mul_mat_into(est.link(2, 0), &mut s.m1);
+    inv01.mul_mat_into(est.link(2, 1), &mut s.m0);
+    let mut best = None;
+    for k in 0..2 {
+        let s = &mut *scratch;
+        let [v0, v1, v2] = &mut s.candidate[..] else {
+            panic!("downlink3_scored needs ScoreScratch::downlink3")
         };
-        let score = predicted_rate(est_grid, &config, per_node_power, noise);
-        if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
-            best = Some((score, config));
-        }
+        s.pairs[k].1.normalize_into(v2)?;
+        s.m1.mul_vec_into(v2, &mut s.w);
+        s.w.normalize_into(v1)?;
+        s.m0.mul_vec_into(v2, &mut s.w);
+        s.w.normalize_into(v0)?;
+        scratch.keep_if_better(est, &mut best);
     }
-    best.map(|(_, c)| c)
-        .ok_or(LinAlgError::Degenerate("no eigen solution"))
+    Ok(best.expect("two eigen solutions"))
 }
 
 #[cfg(test)]

@@ -8,9 +8,14 @@
 
 /// Eq. 9: achievable rate in bit/s/Hz for a set of concurrent packet SINRs.
 pub fn rate_bits_per_hz(sinrs: &[f64]) -> f64 {
+    sum_rate(sinrs.iter().copied())
+}
+
+/// [`rate_bits_per_hz`] over any SINR sequence, so callers holding SINRs
+/// inside other records need not collect them first.
+pub(crate) fn sum_rate(sinrs: impl Iterator<Item = f64>) -> f64 {
     sinrs
-        .iter()
-        .map(|&s| {
+        .map(|s| {
             assert!(s >= 0.0, "negative SINR {s}");
             (1.0 + s).log2()
         })

@@ -9,6 +9,10 @@
 
 use crate::feasibility;
 
+/// `(receiver, interfering packets, subspace dimension)` of one decode
+/// step; see [`DecodeSchedule::interference_sets`].
+pub type InterferenceSet = (usize, Vec<usize>, usize);
+
 /// One step of the chain: an AP decodes `decode` after cancelling `cancel`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeStep {
@@ -43,7 +47,7 @@ impl DecodeSchedule {
     /// The interference set at each step: packets that are neither cancelled
     /// nor decoded there, together with the subspace dimension they must fit
     /// in (`antennas − decoded_here`).
-    pub fn interference_sets(&self) -> Vec<(usize, Vec<usize>, usize)> {
+    pub fn interference_sets(&self) -> Vec<InterferenceSet> {
         self.steps
             .iter()
             .map(|s| {

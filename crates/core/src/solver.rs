@@ -20,10 +20,10 @@
 //! cancellation-aware interference sets: packets cancelled at an AP simply do
 //! not appear in its interference covariance.
 
-use crate::grid::ChannelGrid;
+use crate::grid::{ChannelGrid, GridView};
 use crate::schedule::DecodeSchedule;
 use iac_linalg::eig::smallest_eigvecs_hermitian;
-use iac_linalg::{CMat, CVec, LinAlgError, Result, Rng64};
+use iac_linalg::{eigh_into, CMat, CVec, EighScratch, LinAlgError, Result, Rng64};
 
 /// Solver knobs.
 #[derive(Debug, Clone)]
@@ -198,17 +198,41 @@ pub fn interference_covariance(
     packets: &[usize],
     encoding: &[CVec],
 ) -> CMat {
+    let mut q = CMat::default();
+    let mut img = CVec::default();
+    interference_covariance_into(
+        grid.view(),
+        schedule,
+        receiver,
+        packets,
+        encoding,
+        &mut q,
+        &mut img,
+    );
+    q
+}
+
+/// [`interference_covariance`] over a grid view, into `q` (`img` is the
+/// per-packet image buffer).
+pub(crate) fn interference_covariance_into(
+    grid: GridView<'_>,
+    schedule: &DecodeSchedule,
+    receiver: usize,
+    packets: &[usize],
+    encoding: &[CVec],
+    q: &mut CMat,
+    img: &mut CVec,
+) {
     let m = grid.rx_antennas();
-    let mut q = CMat::zeros(m, m);
+    q.reset(m, m);
     for &p in packets {
-        let img = grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]);
+        grid.link(schedule.owners[p], receiver).mul_vec_into(&encoding[p], img);
         for r in 0..m {
             for c in 0..m {
                 q[(r, c)] += img[r] * img[c].conj();
             }
         }
     }
-    q
 }
 
 /// Zero-forcing decoding vectors for one step, computed from (estimated)
@@ -223,27 +247,75 @@ pub fn decoding_vectors(
     step_index: usize,
     encoding: &[CVec],
 ) -> Result<Vec<CVec>> {
-    let step = &schedule.steps[step_index];
     let sets = schedule.interference_sets();
-    let (receiver, ref interf, _) = sets[step_index];
-    let mut out = Vec::with_capacity(step.decode.len());
-    for &p in &step.decode {
+    let mut out = Vec::new();
+    decoding_vectors_into(
+        grid.view(),
+        schedule,
+        step_index,
+        &sets[step_index].1,
+        encoding,
+        &mut VectorScratch::default(),
+        &mut out,
+    )?;
+    Ok(out)
+}
+
+/// Working storage for [`decoding_vectors_into`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct VectorScratch {
+    nuisance: Vec<usize>,
+    q: CMat,
+    img: CVec,
+    values: Vec<f64>,
+    vectors: CMat,
+    eig: EighScratch,
+}
+
+/// [`decoding_vectors`] over a grid view, with the step's interference set
+/// `interf` precomputed by the caller ([`DecodeSchedule::interference_sets`]).
+/// `out` only grows: its first `step.decode.len()` entries are the step's
+/// vectors, in decode order.
+pub(crate) fn decoding_vectors_into(
+    grid: GridView<'_>,
+    schedule: &DecodeSchedule,
+    step_index: usize,
+    interf: &[usize],
+    encoding: &[CVec],
+    scratch: &mut VectorScratch,
+    out: &mut Vec<CVec>,
+) -> Result<()> {
+    let step = &schedule.steps[step_index];
+    let receiver = step.receiver;
+    if out.len() < step.decode.len() {
+        out.resize_with(step.decode.len(), CVec::default);
+    }
+    let VectorScratch {
+        nuisance,
+        q,
+        img,
+        values,
+        vectors,
+        eig,
+    } = scratch;
+    for (u, &p) in out.iter_mut().zip(&step.decode) {
         // Constraint covariance: true interferers + co-scheduled packets.
-        let mut nuisance: Vec<usize> = interf.clone();
+        nuisance.clear();
+        nuisance.extend_from_slice(interf);
         nuisance.extend(step.decode.iter().filter(|&&q| q != p));
-        let q = interference_covariance(grid, schedule, receiver, &nuisance, encoding);
-        let mut u = smallest_eigvecs_hermitian(&q, 1)?
-            .pop()
-            .expect("k=1 eigenvector");
+        interference_covariance_into(grid, schedule, receiver, nuisance, encoding, q, img);
+        // The smallest-eigenvalue eigenvector.
+        eigh_into(q, values, vectors, eig)?;
+        vectors.col_into(0, u);
         // Phase-normalise so u·(H v_p) is real positive (cosmetic: makes the
         // effective scalar channel deterministic for tests).
-        let sig = u.dot(&grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]));
+        grid.link(schedule.owners[p], receiver).mul_vec_into(&encoding[p], img);
+        let sig = u.dot(img);
         if sig.abs() > 1e-12 {
-            u = u.scale_c((sig * (1.0 / sig.abs())).conj());
+            u.scale_c_in_place((sig * (1.0 / sig.abs())).conj());
         }
-        out.push(u);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -19,6 +19,14 @@ use crate::{C64, CMat, CVec, LinAlgError, Lu, Result};
 /// Eigenvectors are unit norm. For defective matrices (repeated eigenvalue
 /// with a single eigenvector) both returned vectors coincide.
 pub fn eig2(a: &CMat) -> Result<[(C64, CVec); 2]> {
+    let mut out = [(C64::zero(), CVec::default()), (C64::zero(), CVec::default())];
+    eig2_into(a, &mut out)?;
+    Ok(out)
+}
+
+/// [`eig2`] into caller-owned eigenpairs. On error `out` holds no
+/// meaningful value.
+pub fn eig2_into(a: &CMat, out: &mut [(C64, CVec); 2]) -> Result<()> {
     if a.shape() != (2, 2) {
         return Err(LinAlgError::ShapeMismatch {
             expected: (2, 2),
@@ -30,11 +38,15 @@ pub fn eig2(a: &CMat) -> Result<[(C64, CVec); 2]> {
     let disc = (tr * tr - det.scale(4.0)).sqrt();
     let l1 = (tr + disc).scale(0.5);
     let l2 = (tr - disc).scale(0.5);
-    Ok([(l1, eigvec2(a, l1)?), (l2, eigvec2(a, l2)?)])
+    for ((lambda, v), l) in out.iter_mut().zip([l1, l2]) {
+        *lambda = l;
+        eigvec2_into(a, l, v)?;
+    }
+    Ok(())
 }
 
-/// Eigenvector of a 2×2 matrix for a (known) eigenvalue.
-fn eigvec2(a: &CMat, lambda: C64) -> Result<CVec> {
+/// Eigenvector of a 2×2 matrix for a (known) eigenvalue, into `v`.
+fn eigvec2_into(a: &CMat, lambda: C64, v: &mut CVec) -> Result<()> {
     // (A − λI)v = 0. Rows of (A − λI) are both orthogonal (unconjugated) to
     // v; use whichever row is better conditioned.
     let r0 = [a[(0, 0)] - lambda, a[(0, 1)]];
@@ -42,13 +54,16 @@ fn eigvec2(a: &CMat, lambda: C64) -> Result<CVec> {
     let n0 = r0[0].abs() + r0[1].abs();
     let n1 = r1[0].abs() + r1[1].abs();
     let row = if n0 >= n1 { r0 } else { r1 };
-    let v = if row[0].abs().max(row[1].abs()) < 1e-14 {
+    v.resize(2);
+    if row[0].abs().max(row[1].abs()) < 1e-14 {
         // A − λI ≈ 0: every vector is an eigenvector.
-        CVec::basis(2, 0)
+        v[0] = C64::one();
+        v[1] = C64::zero();
     } else {
-        CVec::new(vec![row[1], -row[0]])
-    };
-    v.normalize()
+        v[0] = row[1];
+        v[1] = -row[0];
+    }
+    v.normalize_in_place()
 }
 
 /// Dominant eigenpair via power iteration (utility for quick spectral-radius
@@ -80,6 +95,31 @@ pub fn power_iteration(a: &CMat, iters: usize, seed_vec: &CVec) -> Result<(C64, 
 /// unitary. Input must be Hermitian (checked loosely; the computation
 /// symmetrises implicitly through the rotations).
 pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
+    let mut values = Vec::new();
+    let mut vectors = CMat::default();
+    eigh_into(a, &mut values, &mut vectors, &mut EighScratch::default())?;
+    Ok((values, vectors))
+}
+
+/// Working storage for [`eigh_into`]: the rotated matrix, the accumulated
+/// rotations and the sort order. Reused across calls, so a warm scratch
+/// makes the decomposition allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct EighScratch {
+    m: CMat,
+    v: CMat,
+    order: Vec<usize>,
+    diag: Vec<f64>,
+}
+
+/// [`eigh`] into caller-owned eigenvalues (ascending) and eigenvector
+/// columns. On error the outputs hold no meaningful value.
+pub fn eigh_into(
+    a: &CMat,
+    values: &mut Vec<f64>,
+    vectors: &mut CMat,
+    scratch: &mut EighScratch,
+) -> Result<()> {
     if !a.is_square() {
         return Err(LinAlgError::ShapeMismatch {
             expected: (a.rows(), a.rows()),
@@ -90,8 +130,9 @@ pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
     if n == 0 {
         return Err(LinAlgError::Degenerate("empty matrix"));
     }
-    let mut m = a.clone();
-    let mut v = CMat::identity(n);
+    let EighScratch { m, v, order, diag } = scratch;
+    m.copy_from(a);
+    v.set_identity(n);
     let tol = 1e-14 * a.frobenius_norm().max(1.0);
     let max_sweeps = 60;
 
@@ -160,16 +201,32 @@ pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
         }
     }
 
-    // Sort ascending by (real) diagonal.
-    let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
-    order.sort_by(|&i, &j| diag[i].partial_cmp(&diag[j]).unwrap());
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let mut vv = CMat::zeros(n, n);
-    for (slot, &i) in order.iter().enumerate() {
-        vv.set_col(slot, &v.col(i));
+    // Sort ascending by (real) diagonal: a stable insertion sort (n is
+    // tiny), so equal eigenvalues keep their index order and nothing
+    // allocates.
+    order.clear();
+    order.extend(0..n);
+    diag.clear();
+    diag.extend((0..n).map(|i| m[(i, i)].re));
+    for k in 1..n {
+        let mut j = k;
+        while j > 0
+            && diag[order[j - 1]].partial_cmp(&diag[order[j]]).unwrap()
+                == std::cmp::Ordering::Greater
+        {
+            order.swap(j - 1, j);
+            j -= 1;
+        }
     }
-    Ok((eigenvalues, vv))
+    values.clear();
+    values.extend(order.iter().map(|&i| diag[i]));
+    vectors.reset(n, n);
+    for (slot, &i) in order.iter().enumerate() {
+        for r in 0..n {
+            vectors[(r, slot)] = v[(r, i)];
+        }
+    }
+    Ok(())
 }
 
 /// The eigenvector of a Hermitian matrix with the smallest eigenvalue — the

@@ -37,7 +37,7 @@ pub mod vector;
 
 pub use approx::{approx_eq, approx_eq_c};
 pub use c64::C64;
-pub use eig::{eig2, eigh, general_eigenvectors, power_iteration};
+pub use eig::{eig2, eig2_into, eigh, eigh_into, general_eigenvectors, power_iteration, EighScratch};
 pub use lu::Lu;
 pub use matrix::CMat;
 pub use qr::Qr;

@@ -6,9 +6,11 @@
 //! [`CMat::inverse`](crate::CMat::inverse) and determinants.
 
 use crate::{C64, CMat, CVec, LinAlgError, Result};
+use std::ops::IndexMut;
 
-/// A computed LU factorisation `P·A = L·U`.
-#[derive(Debug, Clone)]
+/// A computed LU factorisation `P·A = L·U`. `Lu::default()` is an empty
+/// factorisation: a reusable buffer for [`CMat::inverse_into`].
+#[derive(Debug, Clone, Default)]
 pub struct Lu {
     /// Combined L (unit lower, below diagonal) and U (upper) factors.
     lu: CMat,
@@ -23,6 +25,14 @@ impl Lu {
     /// underflows working precision — for channel matrices this corresponds
     /// to the degenerate "not really MIMO" case of the paper's footnote 3.
     pub fn factor(a: &CMat) -> Result<Self> {
+        let mut lu = Self::default();
+        lu.factor_into(a)?;
+        Ok(lu)
+    }
+
+    /// [`Lu::factor`] into this factorisation's storage, reusing it. On
+    /// error `self` holds no usable factorisation.
+    pub(crate) fn factor_into(&mut self, a: &CMat) -> Result<()> {
         if !a.is_square() {
             return Err(LinAlgError::ShapeMismatch {
                 expected: (a.rows(), a.rows()),
@@ -33,9 +43,11 @@ impl Lu {
         if n == 0 {
             return Err(LinAlgError::Degenerate("empty matrix"));
         }
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
+        let Self { lu, perm, sign } = self;
+        lu.copy_from(a);
+        perm.clear();
+        perm.extend(0..n);
+        *sign = 1.0;
         // Scale-aware singularity threshold.
         let scale = a.norm_inf().max(f64::MIN_POSITIVE);
         let tiny = scale * 1e-14 * n as f64;
@@ -61,7 +73,7 @@ impl Lu {
                     lu[(p, c)] = t;
                 }
                 perm.swap(k, p);
-                sign = -sign;
+                *sign = -*sign;
             }
             let pivot = lu[(k, k)];
             for r in (k + 1)..n {
@@ -73,7 +85,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Self { lu, perm, sign })
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
@@ -92,6 +104,14 @@ impl Lu {
         }
         // Apply permutation, then forward/backward substitution.
         let mut x = CVec::from_fn(n, |i| b[self.perm[i]]);
+        self.substitute(&mut x);
+        Ok(x)
+    }
+
+    /// Forward then backward substitution in place on a permuted
+    /// right-hand side `x` (a vector, or one column of a matrix).
+    fn substitute<X: IndexMut<usize, Output = C64> + ?Sized>(&self, x: &mut X) {
+        let n = self.dim();
         for r in 1..n {
             let mut acc = x[r];
             for c in 0..r {
@@ -106,7 +126,6 @@ impl Lu {
             }
             x[r] = acc / self.lu[(r, r)];
         }
-        Ok(x)
     }
 
     /// Solve for multiple right-hand sides stacked as matrix columns.
@@ -128,7 +147,23 @@ impl Lu {
 
     /// Matrix inverse.
     pub fn inverse(&self) -> Result<CMat> {
-        self.solve_mat(&CMat::identity(self.dim()))
+        let mut out = CMat::default();
+        self.inverse_into(&mut out);
+        Ok(out)
+    }
+
+    /// [`Lu::inverse`] into a caller-owned matrix: column `c` is the solve
+    /// against the identity's column `c`, substituted in place.
+    pub(crate) fn inverse_into(&self, out: &mut CMat) {
+        let n = self.dim();
+        out.reset(n, n);
+        for c in 0..n {
+            let mut col = Column { m: out, c };
+            for i in 0..n {
+                col[i] = if self.perm[i] == c { C64::one() } else { C64::zero() };
+            }
+            self.substitute(&mut col);
+        }
     }
 
     /// Determinant (product of pivots times permutation sign).
@@ -138,6 +173,25 @@ impl Lu {
             d *= self.lu[(i, i)];
         }
         d
+    }
+}
+
+/// One column of a matrix, indexed like a vector.
+struct Column<'a> {
+    m: &'a mut CMat,
+    c: usize,
+}
+
+impl std::ops::Index<usize> for Column<'_> {
+    type Output = C64;
+    fn index(&self, r: usize) -> &C64 {
+        &self.m[(r, self.c)]
+    }
+}
+
+impl IndexMut<usize> for Column<'_> {
+    fn index_mut(&mut self, r: usize) -> &mut C64 {
+        &mut self.m[(r, self.c)]
     }
 }
 

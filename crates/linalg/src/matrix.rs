@@ -41,6 +41,32 @@ impl CMat {
         m
     }
 
+    /// Reshape to an all-zero `rows × cols` matrix, reusing the storage (a
+    /// buffer that already fits never reallocates). The `_into` kernels
+    /// call this on their output, so stale contents are never read.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, C64::zero());
+    }
+
+    /// Overwrite with the `n × n` identity, reusing the storage.
+    pub(crate) fn set_identity(&mut self, n: usize) {
+        self.reset(n, n);
+        for i in 0..n {
+            self[(i, i)] = C64::one();
+        }
+    }
+
+    /// Overwrite with a copy of `src`, reusing the storage.
+    pub(crate) fn copy_from(&mut self, src: &Self) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+    }
+
     /// Build with a function of `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> C64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -127,8 +153,18 @@ impl CMat {
 
     /// Extract column `c` as a vector.
     pub fn col(&self, c: usize) -> CVec {
+        let mut out = CVec::default();
+        self.col_into(c, &mut out);
+        out
+    }
+
+    /// [`CMat::col`] into a caller-owned vector.
+    pub fn col_into(&self, c: usize, out: &mut CVec) {
         assert!(c < self.cols);
-        CVec::from_fn(self.rows, |r| self[(r, c)])
+        out.resize(self.rows);
+        for (r, o) in out.as_mut_slice().iter_mut().enumerate() {
+            *o = self[(r, c)];
+        }
     }
 
     /// Replace column `c`.
@@ -148,7 +184,19 @@ impl CMat {
 
     /// Conjugate (Hermitian) transpose `Aᴴ`.
     pub fn hermitian(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
+        let mut out = Self::default();
+        self.hermitian_into(&mut out);
+        out
+    }
+
+    /// [`CMat::hermitian`] into a caller-owned matrix.
+    pub fn hermitian_into(&self, out: &mut Self) {
+        out.reset(self.cols, self.rows);
+        for r in 0..self.cols {
+            for c in 0..self.rows {
+                out[(r, c)] = self[(c, r)].conj();
+            }
+        }
     }
 
     /// Elementwise conjugate.
@@ -190,12 +238,20 @@ impl CMat {
     /// sequentially (cache-friendly, `mul_add` accumulation, no per-element
     /// index arithmetic).
     pub fn mul_mat(&self, b: &Self) -> Self {
+        let mut out = Self::default();
+        self.mul_mat_into(b, &mut out);
+        out
+    }
+
+    /// [`CMat::mul_mat`] into a caller-owned matrix (`out` must not alias
+    /// an operand; the borrow checker enforces it).
+    pub fn mul_mat_into(&self, b: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, b.rows,
             "mul_mat: {}x{} by {}x{}",
             self.rows, self.cols, b.rows, b.cols
         );
-        let mut out = Self::zeros(self.rows, b.cols);
+        out.reset(self.rows, b.cols);
         for (arow, orow) in self
             .data
             .chunks_exact(self.cols)
@@ -207,7 +263,15 @@ impl CMat {
                 }
             }
         }
-        out
+    }
+
+    /// `self − rhs` into a caller-owned matrix (the body of `&a - &b`).
+    pub fn sub_into(&self, rhs: &Self, out: &mut Self) {
+        assert_eq!(self.shape(), rhs.shape(), "subtracting mismatched shapes");
+        out.reset(self.rows, self.cols);
+        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&rhs.data) {
+            *o = a - b;
+        }
     }
 
     /// Scale by a complex factor.
@@ -263,7 +327,17 @@ impl CMat {
 
     /// Matrix inverse via LU.
     pub fn inverse(&self) -> Result<Self> {
-        crate::lu::Lu::factor(self)?.inverse()
+        let mut out = Self::default();
+        self.inverse_into(&mut out, &mut crate::lu::Lu::default())?;
+        Ok(out)
+    }
+
+    /// [`CMat::inverse`] into a caller-owned matrix, factoring into the
+    /// caller's reusable `lu`. On error `out` holds no meaningful value.
+    pub fn inverse_into(&self, out: &mut Self, lu: &mut crate::lu::Lu) -> Result<()> {
+        lu.factor_into(self)?;
+        lu.inverse_into(out);
+        Ok(())
     }
 
     /// Determinant via LU.
@@ -365,8 +439,16 @@ impl Add for &CMat {
 impl Sub for &CMat {
     type Output = CMat;
     fn sub(self, rhs: &CMat) -> CMat {
-        assert_eq!(self.shape(), rhs.shape(), "subtracting mismatched shapes");
-        CMat::from_fn(self.rows, self.cols, |r, c| self[(r, c)] - rhs[(r, c)])
+        let mut out = CMat::default();
+        self.sub_into(rhs, &mut out);
+        out
+    }
+}
+
+impl Default for CMat {
+    /// The empty `0 × 0` matrix: the starting state of a reusable buffer.
+    fn default() -> Self {
+        Self::zeros(0, 0)
     }
 }
 

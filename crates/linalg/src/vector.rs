@@ -101,6 +101,12 @@ impl CVec {
         self.data.resize(n, C64::zero());
     }
 
+    /// Overwrite with a copy of `src`, reusing the storage.
+    pub(crate) fn copy_from(&mut self, src: &Self) {
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+    }
+
     /// Hermitian inner product `⟨self, other⟩ = Σ conj(selfᵢ)·otherᵢ`.
     pub fn dot(&self, other: &Self) -> C64 {
         assert_eq!(self.len(), other.len(), "dot of mismatched dimensions");
@@ -135,11 +141,29 @@ impl CVec {
 
     /// Unit-norm copy. Errors on (near-)zero input.
     pub fn normalize(&self) -> Result<Self> {
+        let mut out = Self::default();
+        self.normalize_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`CVec::normalize`] into a caller-owned vector. On error `out`
+    /// holds no meaningful value.
+    pub fn normalize_into(&self, out: &mut Self) -> Result<()> {
+        out.copy_from(self);
+        out.normalize_in_place()
+    }
+
+    /// Scale to unit norm in place. Errors on (near-)zero input.
+    pub(crate) fn normalize_in_place(&mut self) -> Result<()> {
         let n = self.norm();
         if n < 1e-300 {
             return Err(LinAlgError::Degenerate("normalising a zero vector"));
         }
-        Ok(self.scale(1.0 / n))
+        let k = 1.0 / n;
+        for z in &mut self.data {
+            *z = z.scale(k);
+        }
+        Ok(())
     }
 
     /// Unit-norm copy; panics on zero input (use [`CVec::normalize`] where
@@ -156,6 +180,13 @@ impl CVec {
     /// Scale by a complex factor.
     pub fn scale_c(&self, k: C64) -> Self {
         Self::new(self.data.iter().map(|z| *z * k).collect())
+    }
+
+    /// Scale by a complex factor in place.
+    pub fn scale_c_in_place(&mut self, k: C64) {
+        for z in &mut self.data {
+            *z *= k;
+        }
     }
 
     /// Elementwise conjugate.
@@ -191,14 +222,23 @@ impl CVec {
     /// This is the decoding vector of the 2×2 examples: to decode `p1` the AP
     /// "projects on a vector orthogonal to H[0 1]ᵀ" (paper §4a).
     pub fn orth_2d(&self) -> Result<Self> {
+        let mut out = Self::default();
+        self.orth_2d_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`CVec::orth_2d`] into a caller-owned vector. On error `out` holds
+    /// no meaningful value.
+    pub fn orth_2d_into(&self, out: &mut Self) -> Result<()> {
         if self.len() != 2 {
             return Err(LinAlgError::ShapeMismatch {
                 expected: (2, 1),
                 got: (self.len(), 1),
             });
         }
-        let v = Self::new(vec![-self.data[1].conj(), self.data[0].conj()]);
-        v.normalize()
+        out.data.clear();
+        out.data.extend([-self.data[1].conj(), self.data[0].conj()]);
+        out.normalize_in_place()
     }
 
     /// `|⟨a,b⟩| / (‖a‖·‖b‖)` in `[0,1]`: 1 when the vectors are aligned

@@ -6,7 +6,9 @@
 //! the library is entitled to reject as singular).
 
 use iac_linalg::qr::{null_space, orthogonal_complement_vector, orthonormal_basis};
-use iac_linalg::{eig2, eigh, C64, CMat, CVec, Lu, Qr, Rng64, Svd};
+use iac_linalg::{
+    eig2, eig2_into, eigh, eigh_into, C64, CMat, CVec, EighScratch, Lu, Qr, Rng64, Svd,
+};
 use proptest::prelude::*;
 
 /// Strategy: a seeded RNG, so matrix entries come from our own CN(0,1)
@@ -160,6 +162,155 @@ proptest! {
         let mut rng = Rng64::new(seed);
         for _ in 0..100 {
             prop_assert!(rng.below(n) < n);
+        }
+    }
+}
+
+// ---- `_into` kernels must be bit-identical to their allocating forms,
+// even when handed dirty, wrongly-shaped reuse buffers ----
+
+fn mat_bits(m: &CMat) -> (usize, usize, Vec<(u64, u64)>) {
+    let bits = m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect();
+    (m.rows(), m.cols(), bits)
+}
+
+fn vec_bits(v: &CVec) -> Vec<(u64, u64)> {
+    v.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
+/// A dirty matrix buffer of an unrelated shape.
+fn dirty_mat(rng: &mut Rng64) -> CMat {
+    let rows = 1 + rng.below(7) as usize;
+    let cols = 1 + rng.below(7) as usize;
+    CMat::random(rows, cols, rng)
+}
+
+/// A dirty vector buffer of an unrelated length.
+fn dirty_vec(rng: &mut Rng64) -> CVec {
+    let n = rng.below(7) as usize;
+    CVec::random(n, rng)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mul_mat_into_bit_identical(seed in seeds(), n in 1usize..6, k in 1usize..6, m in 1usize..6) {
+        let mut rng = Rng64::new(seed);
+        let a = CMat::random(n, k, &mut rng);
+        let b = CMat::random(k, m, &mut rng);
+        let mut out = dirty_mat(&mut rng);
+        a.mul_mat_into(&b, &mut out);
+        prop_assert_eq!(mat_bits(&out), mat_bits(&a.mul_mat(&b)));
+    }
+
+    #[test]
+    fn hermitian_sub_col_into_bit_identical(seed in seeds(), n in 1usize..6, m in 1usize..6) {
+        let mut rng = Rng64::new(seed);
+        let a = CMat::random(n, m, &mut rng);
+        let b = CMat::random(n, m, &mut rng);
+        let mut out = dirty_mat(&mut rng);
+        a.hermitian_into(&mut out);
+        prop_assert_eq!(mat_bits(&out), mat_bits(&a.hermitian()));
+        a.sub_into(&b, &mut out);
+        prop_assert_eq!(mat_bits(&out), mat_bits(&(&a - &b)));
+        let mut col = dirty_vec(&mut rng);
+        a.col_into(m - 1, &mut col);
+        prop_assert_eq!(vec_bits(&col), vec_bits(&a.col(m - 1)));
+    }
+
+    #[test]
+    fn inverse_into_bit_identical(seed in seeds(), n in 1usize..6, exp in 0.0f64..14.0) {
+        // Well- and ill-conditioned inputs: the second row is pulled toward
+        // the first, down to (numerical) singularity.
+        let mut rng = Rng64::new(seed);
+        let mut a = CMat::random(n, n, &mut rng);
+        if n > 1 {
+            let eps = 10f64.powf(-exp);
+            for c in 0..n {
+                a[(1, c)] = a[(0, c)] + a[(1, c)].scale(eps);
+            }
+        }
+        let mut out = dirty_mat(&mut rng);
+        let mut lu = Lu::factor(&CMat::random(6, 6, &mut rng)).unwrap();
+        let got = a.inverse_into(&mut out, &mut lu);
+        match a.inverse() {
+            Ok(want) => {
+                prop_assert!(got.is_ok());
+                prop_assert_eq!(mat_bits(&out), mat_bits(&want));
+            }
+            Err(e) => prop_assert_eq!(got.unwrap_err(), e),
+        }
+    }
+
+    #[test]
+    fn eigh_into_bit_identical(seed in seeds(), n in 1usize..6) {
+        let mut rng = Rng64::new(seed);
+        let g = CMat::random(n, n, &mut rng);
+        let a = g.mul_mat(&g.hermitian());
+        // Dirty scratch: warmed on a different size.
+        let mut scratch = EighScratch::default();
+        let mut values = vec![7.0; 3];
+        let mut vectors = dirty_mat(&mut rng);
+        let other = CMat::random(7 - n, 7 - n, &mut rng);
+        let other = other.mul_mat(&other.hermitian());
+        eigh_into(&other, &mut values, &mut vectors, &mut scratch).unwrap();
+        eigh_into(&a, &mut values, &mut vectors, &mut scratch).unwrap();
+        let (want_values, want_vectors) = eigh(&a).unwrap();
+        let bits: Vec<u64> = values.iter().map(|x| x.to_bits()).collect();
+        let want_bits: Vec<u64> = want_values.iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(bits, want_bits);
+        prop_assert_eq!(mat_bits(&vectors), mat_bits(&want_vectors));
+    }
+
+    #[test]
+    fn eig2_into_bit_identical(seed in seeds(), defective in any::<bool>()) {
+        let mut rng = Rng64::new(seed);
+        let a = if defective {
+            // λI: every vector is an eigenvector (the A − λI ≈ 0 branch).
+            CMat::identity(2).scale_c(rng.cn01())
+        } else {
+            random_mat(seed, 2)
+        };
+        let mut out = [
+            (rng.cn01(), dirty_vec(&mut rng)),
+            (rng.cn01(), dirty_vec(&mut rng)),
+        ];
+        eig2_into(&a, &mut out).unwrap();
+        let want = eig2(&a).unwrap();
+        for (got, want) in out.iter().zip(&want) {
+            prop_assert_eq!(got.0.re.to_bits(), want.0.re.to_bits());
+            prop_assert_eq!(got.0.im.to_bits(), want.0.im.to_bits());
+            prop_assert_eq!(vec_bits(&got.1), vec_bits(&want.1));
+        }
+    }
+
+    #[test]
+    fn normalize_and_orth_2d_into_bit_identical(
+        seed in seeds(),
+        n in 1usize..6,
+        tiny in any::<bool>(),
+    ) {
+        let mut rng = Rng64::new(seed);
+        let mut v = CVec::random(n, &mut rng);
+        if tiny {
+            v = v.scale(1e-301); // below the zero threshold: both must err
+        }
+        let mut out = dirty_vec(&mut rng);
+        match v.normalize() {
+            Ok(want) => {
+                prop_assert!(v.normalize_into(&mut out).is_ok());
+                prop_assert_eq!(vec_bits(&out), vec_bits(&want));
+            }
+            Err(e) => prop_assert_eq!(v.normalize_into(&mut out).unwrap_err(), e),
+        }
+        let mut out = dirty_vec(&mut rng);
+        match v.orth_2d() {
+            Ok(want) => {
+                prop_assert!(v.orth_2d_into(&mut out).is_ok());
+                prop_assert_eq!(vec_bits(&out), vec_bits(&want));
+            }
+            Err(e) => prop_assert_eq!(v.orth_2d_into(&mut out).unwrap_err(), e),
         }
     }
 }

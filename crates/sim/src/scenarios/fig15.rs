@@ -11,10 +11,11 @@
 use crate::experiment::ExperimentConfig;
 use crate::stats::{mean, render_cdfs};
 use crate::testbed::Testbed;
+use iac_core::baseline;
 use iac_core::decoder::{equal_split_powers, IacDecoder};
-use iac_core::grid::ChannelGrid;
-use iac_core::{baseline, optimize};
-use iac_linalg::{CMat, Rng64};
+use iac_core::grid::{ChannelGrid, GridView};
+use iac_core::optimize::{self, ScoreScratch};
+use iac_linalg::{CMat, LinAlgError, Lu, Rng64};
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
 use std::collections::VecDeque;
 
@@ -214,14 +215,177 @@ fn iac_slot_rates(
     }
 }
 
+/// Leader-side group scoring (§7.2): a candidate group's score is the
+/// predicted rate `Σ log(1+SINR)` of its best alignment on the slot's
+/// channel estimates. Each (client, AP) link inverse is computed at most
+/// once per slot and shared by every group that uses it, groups read their
+/// links through a [`GridView`] of the slot grid instead of a cloned
+/// sub-grid, and the optimiser's own winning score is the group's score.
+/// Once warm, scoring allocates nothing.
+///
+/// A group whose optimisation fails (a singular link, a degenerate
+/// eigenvector) scores 0 — and is counted in [`ScoringStats::failed`].
+#[derive(Debug, Clone)]
+pub struct GroupScorer {
+    direction: Direction15,
+    n_aps: usize,
+    /// Per (client, AP), `client * n_aps + ap`: the link inverse, valid
+    /// when `known` says so for the current slot.
+    inverses: Vec<CMat>,
+    known: Vec<Inverse>,
+    lu: Lu,
+    scratch: ScoreScratch,
+    stats: ScoringStats,
+}
+
+/// Whether a link's inverse has been computed this slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Inverse {
+    Unknown,
+    Ready,
+    Singular,
+}
+
+/// What a [`GroupScorer`] has done so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScoringStats {
+    /// Score requests, including partial groups (which score 0).
+    pub scored: u64,
+    /// Full groups whose optimisation failed and so scored 0.
+    pub failed: u64,
+}
+
+impl GroupScorer {
+    /// A scorer for `n_clients × n_aps` slot grids in `direction`.
+    pub fn new(
+        direction: Direction15,
+        cfg: &ExperimentConfig,
+        n_clients: usize,
+        n_aps: usize,
+    ) -> Self {
+        let scratch = match direction {
+            Direction15::Uplink => ScoreScratch::uplink4(cfg.per_node_power, cfg.noise),
+            Direction15::Downlink => ScoreScratch::downlink3(cfg.per_node_power, cfg.noise),
+        };
+        Self {
+            direction,
+            n_aps,
+            inverses: vec![CMat::default(); n_clients * n_aps],
+            known: vec![Inverse::Unknown; n_clients * n_aps],
+            lu: Lu::default(),
+            scratch,
+            stats: ScoringStats::default(),
+        }
+    }
+
+    /// Counts so far.
+    pub fn stats(&self) -> ScoringStats {
+        self.stats
+    }
+
+    /// Start scoring groups on one slot's estimates (clients × APs on the
+    /// uplink, APs × clients on the downlink).
+    pub fn slot<'a>(&'a mut self, est: &'a ChannelGrid) -> SlotScorer<'a> {
+        self.known.fill(Inverse::Unknown);
+        SlotScorer { scorer: self, est }
+    }
+}
+
+/// A [`GroupScorer`] bound to one slot's estimates.
+#[derive(Debug)]
+pub struct SlotScorer<'a> {
+    scorer: &'a mut GroupScorer,
+    est: &'a ChannelGrid,
+}
+
+impl SlotScorer<'_> {
+    /// Score `group` (head first): 0 for fewer than three members.
+    pub fn score(&mut self, group: &[u16]) -> f64 {
+        self.scorer.stats.scored += 1;
+        if group.len() < 3 {
+            return 0.0;
+        }
+        match self.try_score(group) {
+            Ok(rate) => rate,
+            Err(_) => {
+                self.scorer.stats.failed += 1;
+                0.0
+            }
+        }
+    }
+
+    fn try_score(&mut self, group: &[u16]) -> iac_linalg::Result<f64> {
+        let &[a, b, c] = group else {
+            return Err(LinAlgError::Degenerate("groups have three members"));
+        };
+        if self.scorer.n_aps != 3 {
+            return Err(LinAlgError::Degenerate("groups are served by three APs"));
+        }
+        let order = [a as usize, b as usize, c as usize];
+        match self.scorer.direction {
+            Direction15::Uplink => {
+                // Transmitters are the group's clients: H(2,1), H(1,0), H(0,0).
+                let links = [(order[2], 1), (order[1], 0), (order[0], 0)];
+                for (client, ap) in links {
+                    self.ensure_inverse(client, ap)?;
+                }
+                let s = &mut *self.scorer;
+                let [i21, i10, i00] = links.map(|(c, ap)| &s.inverses[c * s.n_aps + ap]);
+                let view = GridView::new(self.est, Some(&order), None);
+                optimize::uplink4_scored(view, [i21, i10, i00], &mut s.scratch)
+            }
+            Direction15::Downlink => {
+                // Receivers are the group's clients: H(1,0), H(0,1).
+                let links = [(order[0], 1), (order[1], 0)];
+                for (client, ap) in links {
+                    self.ensure_inverse(client, ap)?;
+                }
+                let s = &mut *self.scorer;
+                let [i10, i01] = links.map(|(c, ap)| &s.inverses[c * s.n_aps + ap]);
+                let view = GridView::new(self.est, None, Some(&order));
+                optimize::downlink3_scored(view, [i10, i01], &mut s.scratch)
+            }
+        }
+    }
+
+    /// Compute the (client, AP) link inverse unless this slot already has.
+    fn ensure_inverse(&mut self, client: usize, ap: usize) -> iac_linalg::Result<()> {
+        let s = &mut *self.scorer;
+        let i = client * s.n_aps + ap;
+        if s.known[i] == Inverse::Unknown {
+            let link = match s.direction {
+                Direction15::Uplink => self.est.link(client, ap),
+                Direction15::Downlink => self.est.link(ap, client),
+            };
+            s.known[i] = match link.inverse_into(&mut s.inverses[i], &mut s.lu) {
+                Ok(()) => Inverse::Ready,
+                Err(_) => Inverse::Singular,
+            };
+        }
+        match s.known[i] {
+            Inverse::Ready => Ok(()),
+            _ => Err(LinAlgError::Singular),
+        }
+    }
+}
+
 /// Run the experiment for one direction.
 pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
+    run_with_stats(cfg, direction).0
+}
+
+/// [`run`], also returning what the group scorer did.
+pub(crate) fn run_with_stats(
+    cfg: &Fig15Config,
+    direction: Direction15,
+) -> (Fig15Report, ScoringStats) {
     let mut outer_rng = Rng64::new(cfg.base.seed);
     let mut per_policy: Vec<(PolicyKind, Vec<f64>)> = PolicyKind::ALL
         .iter()
         .map(|&k| (k, vec![0.0; cfg.n_clients]))
         .collect();
     let mut baseline_rates = vec![0.0; cfg.n_clients];
+    let mut scorer = GroupScorer::new(direction, &cfg.base, cfg.n_clients, cfg.n_aps);
 
     for _run in 0..cfg.runs {
         let mut rng = outer_rng.fork();
@@ -289,49 +453,8 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                     }
                 };
                 let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
-                let base_cfg = cfg.base.clone();
-                let mut score = |group: &[u16]| -> f64 {
-                    if group.len() < 3 {
-                        return 0.0;
-                    }
-                    let order: Vec<usize> = group.iter().map(|&c| c as usize).collect();
-                    match direction {
-                        Direction15::Uplink => {
-                            let sub = subgrid_uplink(&slot_est, &order, cfg.n_aps);
-                            optimize::uplink4_optimized(
-                                &sub,
-                                base_cfg.per_node_power,
-                                base_cfg.noise,
-                            )
-                            .map(|c| {
-                                optimize::predicted_rate(
-                                    &sub,
-                                    &c,
-                                    base_cfg.per_node_power,
-                                    base_cfg.noise,
-                                )
-                            })
-                            .unwrap_or(0.0)
-                        }
-                        Direction15::Downlink => {
-                            let sub = subgrid_downlink(&slot_est, &order, cfg.n_aps);
-                            optimize::downlink3_optimized(
-                                &sub,
-                                base_cfg.per_node_power,
-                                base_cfg.noise,
-                            )
-                            .map(|c| {
-                                optimize::predicted_rate(
-                                    &sub,
-                                    &c,
-                                    base_cfg.per_node_power,
-                                    base_cfg.noise,
-                                )
-                            })
-                            .unwrap_or(0.0)
-                        }
-                    }
-                };
+                let mut slot_scorer = scorer.slot(&slot_est);
+                let mut score = |group: &[u16]| slot_scorer.score(group);
                 let companions =
                     policy.select(head, &candidates, 2, &mut score, &mut policy_rng);
                 let mut group = vec![head];
@@ -356,7 +479,6 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                 }
             }
         }
-        let _ = rng;
     }
 
     // Gains: both sides normalised by the same slot budget, so the ratio of
@@ -372,33 +494,7 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
             (kind, g)
         })
         .collect();
-    Fig15Report { direction, gains }
-}
-
-/// Extract the 3-client sub-grid (uplink) for a candidate group.
-fn subgrid_uplink(grid: &ChannelGrid, order: &[usize], _n_aps: usize) -> ChannelGrid {
-    permute_transmitters_sub(grid, order)
-}
-
-/// Extract the 3-client sub-grid (downlink): transmitters are APs, so select
-/// receiver columns instead.
-fn subgrid_downlink(grid: &ChannelGrid, order: &[usize], n_aps: usize) -> ChannelGrid {
-    let h: Vec<Vec<CMat>> = (0..n_aps)
-        .map(|a| order.iter().map(|&c| grid.link(a, c).clone()).collect())
-        .collect();
-    ChannelGrid::new(grid.direction(), h)
-}
-
-fn permute_transmitters_sub(grid: &ChannelGrid, order: &[usize]) -> ChannelGrid {
-    let h: Vec<Vec<CMat>> = order
-        .iter()
-        .map(|&t| {
-            (0..grid.receivers())
-                .map(|r| grid.link(t, r).clone())
-                .collect()
-        })
-        .collect();
-    ChannelGrid::new(grid.direction(), h)
+    (Fig15Report { direction, gains }, scorer.stats())
 }
 
 impl std::fmt::Display for Fig15Report {
@@ -482,6 +578,119 @@ mod tests {
             b2_min >= brute_min * 0.9,
             "best-of-two min {b2_min} vs brute min {brute_min}"
         );
+    }
+
+    /// The scoring this scorer replaced: clone the group's sub-grid, run
+    /// the public optimiser, then decode the winner again for its score.
+    fn cloned_subgrid_score(est: &ChannelGrid, group: &[u16], direction: Direction15) -> f64 {
+        let order: Vec<usize> = group.iter().map(|&c| c as usize).collect();
+        let cfg = ExperimentConfig::paper_default(0);
+        let (p, n) = (cfg.per_node_power, cfg.noise);
+        let sub = match direction {
+            Direction15::Uplink => ChannelGrid::new(
+                est.direction(),
+                order
+                    .iter()
+                    .map(|&t| (0..3).map(|r| est.link(t, r).clone()).collect())
+                    .collect(),
+            ),
+            Direction15::Downlink => ChannelGrid::new(
+                est.direction(),
+                (0..3)
+                    .map(|a| order.iter().map(|&c| est.link(a, c).clone()).collect())
+                    .collect(),
+            ),
+        };
+        let config = match direction {
+            Direction15::Uplink => optimize::uplink4_optimized(&sub, p, n),
+            Direction15::Downlink => optimize::downlink3_optimized(&sub, p, n),
+        };
+        config
+            .map(|c| optimize::predicted_rate(&sub, &c, p, n))
+            .unwrap_or(0.0)
+    }
+
+    /// One slot's estimates for 6 clients and 3 APs; with `singular`, client
+    /// 2's link to AP 0 (uplink) / AP 1 (downlink) is made rank-one.
+    fn slot_estimates(direction: Direction15, seed: u64, singular: bool) -> ChannelGrid {
+        let mut rng = Rng64::new(seed);
+        let testbed = Testbed::deploy(9, 2, &mut rng);
+        let (aps, clients) = testbed.pick_roles(3, 6, &mut rng);
+        let cfg = ExperimentConfig::paper_default(seed);
+        let est = match direction {
+            Direction15::Uplink => testbed.uplink_grid(&clients, &aps, &mut rng),
+            Direction15::Downlink => testbed.downlink_grid(&aps, &clients, &mut rng),
+        }
+        .estimated(&cfg.est, &mut rng);
+        if !singular {
+            return est;
+        }
+        let (bad_t, bad_r) = match direction {
+            Direction15::Uplink => (2, 0),
+            Direction15::Downlink => (1, 2),
+        };
+        let h = (0..est.transmitters())
+            .map(|t| {
+                (0..est.receivers())
+                    .map(|r| {
+                        let l = est.link(t, r);
+                        if (t, r) != (bad_t, bad_r) {
+                            return l.clone();
+                        }
+                        // Both columns equal: rank one.
+                        CMat::from_cols(&[l.col(0), l.col(0)])
+                    })
+                    .collect()
+            })
+            .collect();
+        ChannelGrid::new(est.direction(), h)
+    }
+
+    #[test]
+    fn scorer_matches_cloned_subgrid_scoring_bit_for_bit() {
+        for direction in [Direction15::Uplink, Direction15::Downlink] {
+            let cfg = ExperimentConfig::paper_default(0);
+            let mut scorer = GroupScorer::new(direction, &cfg, 6, 3);
+            let mut expected_failures = 0;
+            for (seed, singular) in [(1, false), (2, true), (3, false)] {
+                let est = slot_estimates(direction, seed, singular);
+                let mut slot = scorer.slot(&est);
+                for a in 0..6u16 {
+                    for b in 0..6u16 {
+                        for c in 0..6u16 {
+                            if a == b || b == c || a == c {
+                                continue;
+                            }
+                            let group = [a, b, c];
+                            let want = cloned_subgrid_score(&est, &group, direction);
+                            let got = slot.score(&group);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{direction:?} slot {seed} group {group:?}: {got} vs {want}"
+                            );
+                            expected_failures += u64::from(want == 0.0);
+                        }
+                    }
+                }
+                assert_eq!(slot.score(&[0, 1]), 0.0, "partial groups score 0");
+            }
+            let stats = scorer.stats();
+            assert_eq!(stats.scored, 3 * 120 + 3);
+            assert_eq!(stats.failed, expected_failures, "{direction:?}");
+            assert!(stats.failed > 0, "{direction:?}: the singular link never failed a group");
+        }
+    }
+
+    #[test]
+    fn quick_scoring_never_fails() {
+        for seed in [crate::experiment::DEFAULT_SEED, 40] {
+            for direction in [Direction15::Uplink, Direction15::Downlink] {
+                let (_, stats) = run_with_stats(&Fig15Config::quick(seed), direction);
+                assert!(stats.scored > 0);
+                assert_eq!(stats.failed, 0, "{direction:?} seed {seed}: {stats:?}");
+            }
+        }
     }
 
     #[test]
