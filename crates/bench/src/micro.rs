@@ -44,17 +44,21 @@ pub fn register_alignment(c: &mut Criterion) {
     });
     // The Fig. 15 leader's hot loop: score every brute-force group (head
     // plus an ordered companion pair, 16·15 = 240 for the paper's 17
-    // clients) of one slot's estimates on a warm scorer.
+    // clients) of one slot's estimates on a warm scorer; and the
+    // brute-force policy's bound-pruned selection over the same slot.
     {
+        use iac_mac::concurrency::{BruteForce, GroupPolicy};
         use iac_sim::scenarios::fig15::{Direction15, GroupScorer};
+        use std::cell::RefCell;
         use iac_sim::{ExperimentConfig, Testbed};
         let cfg = ExperimentConfig::paper_default(6);
         let mut r = Rng64::new(6);
         let testbed = Testbed::deploy(20, 2, &mut r);
         let (aps, clients) = testbed.pick_roles(3, 17, &mut r);
-        for (name, direction) in [
-            ("fig15_score_slot_uplink", Direction15::Uplink),
-            ("fig15_score_slot_downlink", Direction15::Downlink),
+        let candidates: Vec<u16> = (1..17).collect();
+        for (name, select_name, direction) in [
+            ("fig15_score_slot_uplink", "fig15_select_slot_uplink", Direction15::Uplink),
+            ("fig15_score_slot_downlink", "fig15_select_slot_downlink", Direction15::Downlink),
         ] {
             let est = match direction {
                 Direction15::Uplink => testbed.uplink_grid(&clients, &aps, &mut r),
@@ -74,6 +78,20 @@ pub fn register_alignment(c: &mut Criterion) {
                         }
                     }
                     total
+                })
+            });
+            let mut policy_rng = Rng64::new(7);
+            group.bench_function(select_name, |b| {
+                b.iter(|| {
+                    let slot = RefCell::new(scorer.slot(&est));
+                    BruteForce.select_bounded(
+                        0,
+                        &candidates,
+                        2,
+                        &mut |g: &[u16]| slot.borrow_mut().score(g),
+                        &mut |g: &[u16]| slot.borrow_mut().bound(g),
+                        &mut policy_rng,
+                    )
                 })
             });
         }
@@ -239,6 +257,17 @@ pub fn register_linalg(c: &mut Criterion) {
     group.finish();
 }
 
+/// The channel substrate: one 2×2 draw of the testbed's conditioned
+/// Rayleigh generator (condition bound 1e4, as `ChannelGrid::random`).
+pub fn register_channel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("channel");
+    let mut rng = Rng64::new(8);
+    group.bench_function("well_conditioned_rayleigh_2x2", |b| {
+        b.iter(|| iac_channel::fading::well_conditioned_rayleigh(2, 2, 1e4, &mut rng))
+    });
+    group.finish();
+}
+
 /// The parallel experiment engine: one registry scenario swept at 1 and 2
 /// workers (regression-gates the engine + registry overhead around the
 /// science), plus the worker pool's raw claim/reduce cost. The scaling
@@ -268,6 +297,7 @@ pub fn register_parallel_sweep(c: &mut Criterion) {
 /// The groups gated by `BENCH_micro_ops.json`.
 pub fn register_micro(c: &mut Criterion) {
     register_alignment(c);
+    register_channel(c);
     register_linalg(c);
     register_parallel_sweep(c);
 }

@@ -3,8 +3,8 @@
 //! project → cancel-reconstruct/subtract → OFDM symbol → planned FFT → fast
 //! convolution) runs on warm `_into` buffers, and the heap counter must not
 //! move. The same holds for the Fig. 15 leader's group scoring: once its
-//! scorer is warm, scoring every brute-force group of a slot allocates
-//! nothing.
+//! scorer is warm, bounding and scoring every brute-force group of a slot
+//! allocates nothing.
 //!
 //! Registered with `harness = false` (a plain `fn main`): the measured
 //! window must be the only live thread in the process — libtest's harness
@@ -286,7 +286,7 @@ fn observed_des_steady_state_is_allocation_free() {
 
 /// The group-scoring half: every ordered brute-force group (head plus two
 /// companions, 16·15 = 240 for the paper's 17 clients) of one slot's
-/// estimates, uplink and downlink, scored on a warm scorer.
+/// estimates, uplink and downlink, bounded and scored on a warm scorer.
 fn group_scoring_is_allocation_free() {
     use iac_sim::scenarios::fig15::{Direction15, GroupScorer};
     use iac_sim::{ExperimentConfig, Testbed};
@@ -307,7 +307,10 @@ fn group_scoring_is_allocation_free() {
             for a in 1..17u16 {
                 for b in 1..17u16 {
                     if a != b {
-                        total += slot.score(&[0, a, b]);
+                        let bound = slot.bound(&[0, a, b]);
+                        let score = slot.score(&[0, a, b]);
+                        assert!(bound >= score, "bound {bound} below score {score}");
+                        total += score;
                     }
                 }
             }
@@ -326,8 +329,9 @@ fn group_scoring_is_allocation_free() {
         assert_eq!(total.to_bits(), warm.to_bits(), "scoring is a pure function");
         assert!(total > 0.0);
         assert_eq!(scorer.stats().scored, 480);
+        assert_eq!(scorer.stats().pruned, 0);
         println!(
-            "alloc_count: {direction:?} scoring of 240 groups performed 0 heap allocations — ok"
+            "alloc_count: {direction:?} bounding and scoring of 240 groups performed 0 heap allocations — ok"
         );
     }
 }

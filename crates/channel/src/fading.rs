@@ -43,10 +43,36 @@ pub fn well_conditioned_rayleigh(rx: usize, tx: usize, max_cond: f64, rng: &mut 
     assert!(max_cond > 1.0, "condition bound must exceed 1");
     loop {
         let h = rayleigh(rx, tx, rng);
-        if h.condition_number() <= max_cond {
+        if condition_at_most(&h, max_cond) {
             return h;
         }
     }
+}
+
+/// `h.condition_number() <= k`, decided without an SVD for 2×2 matrices.
+///
+/// With `σ₁ ≥ σ₂` the singular values, `‖h‖²_F = σ₁² + σ₂²` and
+/// `|det h| = σ₁σ₂`, so `‖h‖²_F / |det h| = c + 1/c` for `c = σ₁/σ₂`,
+/// which increases with `c ≥ 1`: `c ≤ k ⇔ ‖h‖²_F ≤ (k + 1/k)·|det h|`.
+/// Both sides carry relative rounding errors of order `ε·k`, and so does
+/// the SVD's `c`; within a relative guard band of 1e-6 around the
+/// threshold, for `k` above 1e6, outside a safe exponent range and for
+/// non-finite entries, the SVD decides, so the answer is always the SVD's.
+fn condition_at_most(h: &CMat, k: f64) -> bool {
+    const GUARD: f64 = 1e-6;
+    if h.shape() == (2, 2) && k <= 1e6 {
+        let (h00, h01, h10, h11) = (h[(0, 0)], h[(0, 1)], h[(1, 0)], h[(1, 1)]);
+        let frob = h00.norm_sqr() + h01.norm_sqr() + h10.norm_sqr() + h11.norm_sqr();
+        let det = (h00 * h11 - h01 * h10).abs();
+        let threshold = (k + 1.0 / k) * det;
+        if (1e-200..=1e200).contains(&frob)
+            && threshold.is_finite()
+            && (frob - threshold).abs() > GUARD * frob
+        {
+            return frob < threshold;
+        }
+    }
+    h.condition_number() <= k
 }
 
 #[cfg(test)]
@@ -138,6 +164,64 @@ mod tests {
         for _ in 0..100 {
             let h = well_conditioned_rayleigh(2, 2, 20.0, &mut rng);
             assert!(h.condition_number() <= 20.0);
+        }
+    }
+
+    /// `U·diag(s₁, s₂)·Vᴴ` for random 2×2 unitaries `U`, `V`.
+    fn with_singular_values(s1: f64, s2: f64, rng: &mut Rng64) -> CMat {
+        let mut unitary = || {
+            let u = iac_linalg::CVec::random_unit(2, rng);
+            CMat::new(2, 2, vec![u[0], -u[1].conj(), u[1], u[0].conj()])
+        };
+        let (u, v) = (unitary(), unitary());
+        u.mul_mat(&CMat::diag(&[C64::real(s1), C64::real(s2)]))
+            .mul_mat(&v.hermitian())
+    }
+
+    fn svd_decision(h: &CMat, k: f64) -> bool {
+        h.condition_number() <= k
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn closed_form_draw_check_decides_as_the_svd(seed in proptest::prelude::any::<u64>(), k in 1.001f64..1e6) {
+            let mut rng = Rng64::new(seed);
+            for bound in [k, 20.0, 1e4] {
+                let h = rayleigh(2, 2, &mut rng);
+                for scale in [1.0, 1e150, 1e-150] {
+                    let m = h.scale(scale);
+                    proptest::prop_assert_eq!(condition_at_most(&m, bound), svd_decision(&m, bound));
+                }
+                for delta in [1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9, 0.0] {
+                    let s2 = rng.uniform(0.1, 3.0);
+                    let m = with_singular_values(s2 * bound * (1.0 + delta), s2, &mut rng);
+                    proptest::prop_assert_eq!(
+                        condition_at_most(&m, bound),
+                        svd_decision(&m, bound),
+                        "bound {} delta {}", bound, delta
+                    );
+                }
+                let rank_one = CMat::from_cols(&[h.col(0), h.col(0).scale(rng.uniform(-2.0, 2.0))]);
+                proptest::prop_assert_eq!(condition_at_most(&rank_one, bound), svd_decision(&rank_one, bound));
+            }
+        }
+    }
+
+    #[test]
+    fn draw_check_edge_cases_decide_as_the_svd() {
+        let nan = C64::new(f64::NAN, 0.0);
+        for h in [
+            CMat::zeros(2, 2),
+            CMat::identity(2),
+            CMat::new(2, 2, vec![C64::real(1.0), C64::zero(), C64::zero(), C64::real(0.05)]),
+            CMat::new(2, 2, vec![nan, C64::zero(), C64::zero(), C64::real(1.0)]),
+            CMat::identity(3),
+        ] {
+            for k in [1.5, 20.0, 1e4, 1e7] {
+                assert_eq!(condition_at_most(&h, k), svd_decision(&h, k), "{h:?} k {k}");
+            }
         }
     }
 

@@ -201,6 +201,47 @@ impl ScoreScratch {
     }
 }
 
+/// Relative safety margin of [`link_gain_bound`]: far above the few ulps
+/// by which the decode chain's `|uᴴĤv|²` and the closed-form `σ_max²` can
+/// each be rounded. A larger margin only prunes less; it never changes
+/// which group wins.
+pub const GAIN_BOUND_MARGIN: f64 = 1e-9;
+
+/// An upper bound on the gain `|uᴴ·h·v|²` of link `h` over unit vectors
+/// `u`, `v`: its largest squared singular value, raised by
+/// [`GAIN_BOUND_MARGIN`].
+pub fn link_gain_bound(h: &CMat) -> f64 {
+    h.spectral_norm_sqr() * (1.0 + GAIN_BOUND_MARGIN)
+}
+
+impl ScoreScratch {
+    /// An upper bound on the score [`uplink4_scored`] /
+    /// [`downlink3_scored`] return with this scratch, with no optimisation
+    /// or decode: `Σ_p log₂(1 + P_p·gain(owner(p), receiver(p))/N)` over the
+    /// schedule's packets in decode order, with the schedule's own power
+    /// split. `gain(t, r)` must be at least [`link_gain_bound`] of the
+    /// estimated link from transmitter `t` to receiver `r`.
+    ///
+    /// It holds because the score decodes on its own estimates: every
+    /// decoding and encoding vector is unit, so a packet's signal is at most
+    /// `P_p·σ_max²`, cancellation leaves no residual, and every SINR
+    /// denominator is at least `N`. The terms are computed in the same
+    /// order, with the same operations, as the score's SINRs and rate sum,
+    /// so the rounding of both is monotone in the gain. A NaN gain gives a
+    /// NaN bound.
+    pub fn rate_bound(&self, mut gain: impl FnMut(usize, usize) -> f64) -> f64 {
+        let schedule = &self.best.schedule;
+        let mut total = 0.0;
+        for step in &schedule.steps {
+            for &p in &step.decode {
+                let num = self.powers[p] * gain(schedule.owners[p], step.receiver);
+                total += (1.0 + num / self.noise).log2();
+            }
+        }
+        total
+    }
+}
+
 fn check_shape(est: GridView<'_>, direction: Direction, what: &'static str) -> Result<()> {
     if est.direction() != direction || est.transmitters() != 3 || est.receivers() != 3 {
         return Err(LinAlgError::Degenerate(what));

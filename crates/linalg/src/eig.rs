@@ -130,6 +130,9 @@ pub fn eigh_into(
     if n == 0 {
         return Err(LinAlgError::Degenerate("empty matrix"));
     }
+    if !a.as_slice().iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
+        return Err(LinAlgError::Degenerate("non-finite matrix entry"));
+    }
     let EighScratch { m, v, order, diag } = scratch;
     m.copy_from(a);
     v.set_identity(n);
@@ -203,17 +206,17 @@ pub fn eigh_into(
 
     // Sort ascending by (real) diagonal: a stable insertion sort (n is
     // tiny), so equal eigenvalues keep their index order and nothing
-    // allocates.
+    // allocates. Finite entries can still overflow to NaN on the way.
     order.clear();
     order.extend(0..n);
     diag.clear();
     diag.extend((0..n).map(|i| m[(i, i)].re));
+    if diag.iter().any(|d| d.is_nan()) {
+        return Err(LinAlgError::Degenerate("eigenvalue is NaN"));
+    }
     for k in 1..n {
         let mut j = k;
-        while j > 0
-            && diag[order[j - 1]].partial_cmp(&diag[order[j]]).unwrap()
-                == std::cmp::Ordering::Greater
-        {
+        while j > 0 && diag[order[j - 1]] > diag[order[j]] {
             order.swap(j - 1, j);
             j -= 1;
         }
@@ -536,6 +539,21 @@ mod tests {
         let [(l1, _), (l2, _)] = eig2(&a).unwrap();
         assert!(approx_eq_c(l1 + l2, a.trace(), 1e-10));
         assert!(approx_eq_c(l1 * l2, a.det().unwrap(), 1e-10));
+    }
+
+    #[test]
+    fn eigh_rejects_non_finite_input_with_an_error() {
+        let nan = C64::new(f64::NAN, 0.0);
+        for bad in [
+            CMat::new(2, 2, vec![C64::real(1.0), nan, nan.conj(), C64::real(2.0)]),
+            CMat::new(2, 2, vec![C64::real(f64::INFINITY), C64::zero(), C64::zero(), C64::real(1.0)]),
+            CMat::new(1, 1, vec![nan]),
+        ] {
+            assert!(
+                matches!(eigh(&bad), Err(LinAlgError::Degenerate(_))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

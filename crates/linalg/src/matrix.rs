@@ -368,6 +368,22 @@ impl CMat {
             .count()
     }
 
+    /// The largest squared singular value `σ_max²`, in closed form for a
+    /// 2×2 matrix (the larger eigenvalue of the Gram matrix `AᴴA`) and by
+    /// SVD otherwise.
+    pub fn spectral_norm_sqr(&self) -> f64 {
+        if self.shape() == (2, 2) {
+            let (h00, h01, h10, h11) = (self[(0, 0)], self[(0, 1)], self[(1, 0)], self[(1, 1)]);
+            // AᴴA = [[a, b], [b̄, c]].
+            let a = h00.norm_sqr() + h10.norm_sqr();
+            let c = h01.norm_sqr() + h11.norm_sqr();
+            let b = h00.conj() * h01 + h10.conj() * h11;
+            return 0.5 * (a + c) + (0.5 * (a - c)).hypot(b.abs());
+        }
+        let svd = crate::svd::Svd::compute(self);
+        svd.singular_values.first().map_or(0.0, |s| s * s)
+    }
+
     /// 2-norm condition number `σ_max/σ_min` (∞ when singular).
     pub fn condition_number(&self) -> f64 {
         let svd = crate::svd::Svd::compute(self);
@@ -642,5 +658,22 @@ mod tests {
     fn condition_number_of_identity() {
         let c = CMat::identity(3).condition_number();
         assert!(approx_eq(c, 1.0, 1e-9));
+    }
+
+    #[test]
+    fn spectral_norm_sqr_matches_the_svd() {
+        let mut rng = Rng64::new(88);
+        for n in [2, 2, 2, 3] {
+            for _ in 0..50 {
+                let a = CMat::random(n, n, &mut rng);
+                let rank_one = CMat::from_cols(&vec![a.col(0); n]);
+                for m in [a, rank_one] {
+                    let s = crate::svd::Svd::compute(&m).singular_values[0];
+                    let got = m.spectral_norm_sqr();
+                    assert!((got - s * s).abs() <= 1e-12 * s * s, "{got} vs {}", s * s);
+                }
+            }
+        }
+        assert_eq!(CMat::zeros(2, 2).spectral_norm_sqr(), 0.0);
     }
 }

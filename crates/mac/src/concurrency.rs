@@ -5,9 +5,10 @@
 //! queue as the first packet") and differ in how companions are chosen:
 //!
 //! * [`FifoPolicy`] — companions in arrival order; fair, rate-oblivious.
-//! * [`BruteForce`] — exhaustive search over companion pairs for the best
-//!   predicted rate; fast clients win every time, slow clients starve
-//!   (Fig. 15 shows gains < 1 for some of them).
+//! * [`BruteForce`] — exact search over companion pairs for the best
+//!   predicted rate, pruned by an upper bound on each group's rate; fast
+//!   clients win every time, slow clients starve (Fig. 15 shows gains < 1
+//!   for some of them).
 //! * [`BestOfTwo`] — the paper's choice: two random candidates per position,
 //!   keep the best-scoring combination, plus *credit counters* that force
 //!   chronically-ignored clients into a group once they cross a threshold.
@@ -36,6 +37,24 @@ pub trait GroupPolicy {
         score: &mut dyn FnMut(&[u16]) -> f64,
         rng: &mut Rng64,
     ) -> Vec<u16>;
+
+    /// [`select`](Self::select), given also an upper `bound` on `score`:
+    /// `bound(g) ≥ score(g)` for every group `g` (a NaN bound means "no
+    /// bound"). A policy may skip scoring groups whose bound shows they
+    /// cannot win, but must choose exactly what `select` chooses. The
+    /// default ignores the bound.
+    fn select_bounded(
+        &mut self,
+        head: u16,
+        candidates: &[u16],
+        slots: usize,
+        score: &mut dyn FnMut(&[u16]) -> f64,
+        bound: &mut dyn FnMut(&[u16]) -> f64,
+        rng: &mut Rng64,
+    ) -> Vec<u16> {
+        let _ = bound;
+        self.select(head, candidates, slots, score, rng)
+    }
 }
 
 /// Arrival-order companions (§10.3's "FIFO" variant).
@@ -59,9 +78,20 @@ impl GroupPolicy for FifoPolicy {
     }
 }
 
-/// Exhaustive search over ordered companion tuples (§10.3's "brute force").
-/// Exponential in group size; only group sizes up to 3 (pairs of
-/// companions) are supported, which covers the paper's experiments.
+/// Exact, bound-pruned search over ordered companion tuples (§10.3's
+/// "brute force"): the group with the best score, exactly as scoring every
+/// group would find it. Exponential in group size; only group sizes up to
+/// 3 (pairs of companions) are supported, which covers the paper's
+/// experiments.
+///
+/// [`select_bounded`](GroupPolicy::select_bounded) is a branch-and-bound:
+/// it bounds every group, scores them in descending-bound order, and stops
+/// once the next bound is below the best score so far. Every group left
+/// unscored scores at most its bound, below that best, so the choice — the
+/// first group in enumeration order with the maximal score, by the strict
+/// `>` rule — is the exhaustive search's. [`select`](GroupPolicy::select)
+/// is the same search with no bound: every group is scored, in
+/// enumeration order.
 #[derive(Debug, Clone, Default)]
 pub struct BruteForce;
 
@@ -76,39 +106,74 @@ impl GroupPolicy for BruteForce {
         candidates: &[u16],
         slots: usize,
         score: &mut dyn FnMut(&[u16]) -> f64,
+        rng: &mut Rng64,
+    ) -> Vec<u16> {
+        let mut unbounded = |_: &[u16]| f64::INFINITY;
+        self.select_bounded(head, candidates, slots, score, &mut unbounded, rng)
+    }
+
+    fn select_bounded(
+        &mut self,
+        head: u16,
+        candidates: &[u16],
+        slots: usize,
+        score: &mut dyn FnMut(&[u16]) -> f64,
+        bound: &mut dyn FnMut(&[u16]) -> f64,
         _rng: &mut Rng64,
     ) -> Vec<u16> {
-        match slots {
-            0 => Vec::new(),
-            1 => {
-                let mut best: Option<(f64, u16)> = None;
-                for &a in candidates {
-                    let s = score(&[head, a]);
-                    if best.map(|(b, _)| s > b).unwrap_or(true) {
-                        best = Some((s, a));
-                    }
-                }
-                best.map(|(_, a)| vec![a]).unwrap_or_default()
-            }
+        // Every group `[head, companions...]`, in enumeration order.
+        let size = slots.min(2) + 1;
+        let groups: Vec<[u16; 3]> = match slots {
+            0 => return Vec::new(),
+            1 => candidates.iter().map(|&a| [head, a, 0]).collect(),
             _ => {
                 if candidates.len() < 2 {
                     return candidates.to_vec();
                 }
-                let mut best: Option<(f64, (u16, u16))> = None;
-                for &a in candidates {
-                    for &b in candidates {
-                        if a == b {
-                            continue;
-                        }
-                        let s = score(&[head, a, b]);
-                        if best.map(|(bs, _)| s > bs).unwrap_or(true) {
-                            best = Some((s, (a, b)));
-                        }
-                    }
-                }
-                best.map(|(_, (a, b))| vec![a, b]).unwrap_or_default()
+                candidates
+                    .iter()
+                    .flat_map(|&a| {
+                        candidates
+                            .iter()
+                            .filter(move |&&b| b != a)
+                            .map(move |&b| [head, a, b])
+                    })
+                    .collect()
+            }
+        };
+        let bounds: Vec<f64> = groups
+            .iter()
+            .map(|g| match bound(&g[..size]) {
+                b if b.is_nan() => f64::INFINITY,
+                b => b,
+            })
+            .collect();
+        // Descending bound; the sort is stable, so equal bounds keep
+        // enumeration order.
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_by(|&i, &j| bounds[j].total_cmp(&bounds[i]));
+        // Unscored groups keep −∞: each scores below the maximum, so none
+        // can be the first maximum.
+        let mut scores = vec![f64::NEG_INFINITY; groups.len()];
+        let mut best = f64::NEG_INFINITY;
+        for i in order {
+            if bounds[i] < best {
+                break;
+            }
+            scores[i] = score(&groups[i][..size]);
+            if scores[i] > best {
+                best = scores[i];
             }
         }
+        let mut chosen: Option<(f64, usize)> = None;
+        for (i, &s) in scores.iter().enumerate() {
+            if chosen.is_none_or(|(b, _)| s > b) {
+                chosen = Some((s, i));
+            }
+        }
+        chosen
+            .map(|(_, i)| groups[i][1..size].to_vec())
+            .unwrap_or_default()
     }
 }
 
@@ -295,6 +360,23 @@ mod tests {
         let mut got = p.select(0, &[1, 2, 3, 4], 2, &mut score, &mut rng);
         got.sort_unstable();
         assert_eq!(got, vec![2, 4]);
+    }
+
+    #[test]
+    fn exact_bounds_prune_every_group_but_the_winner() {
+        let mut rng = Rng64::new(2);
+        let vals = values(&[(1, 1.0), (2, 5.0), (3, 2.0), (4, 9.0)]);
+        let mut rate = rigged(&vals);
+        let mut bound = rigged(&vals);
+        let mut calls = 0;
+        let mut score = |g: &[u16]| {
+            calls += 1;
+            rate(g)
+        };
+        let got = BruteForce.select_bounded(0, &[1, 2, 3, 4], 2, &mut score, &mut bound, &mut rng);
+        // The two orders of {2, 4} tie: both are scored, the first wins.
+        assert_eq!(got, vec![2, 4]);
+        assert_eq!(calls, 2, "12 groups, only the two maxima scored");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use iac_mac::ethernet::{Hub, WirePacket};
 use iac_mac::frames::{Beacon, DataPoll, DataReqHeader, Grant, MacFrame, PollEntry, VectorQ};
 use iac_mac::queue::{QueuedPacket, TrafficQueue};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn arb_entries(seed: u64, n: usize) -> Vec<PollEntry> {
     let mut rng = Rng64::new(seed);
@@ -129,6 +130,58 @@ proptest! {
                 prop_assert_ne!(*c, head);
             }
         }
+    }
+
+    #[test]
+    fn bounded_brute_force_chooses_as_exhaustive(seed in any::<u64>(), n_candidates in 0usize..9,
+                                                 slots in 1usize..3, style in 0u8..3) {
+        let mut rng = Rng64::new(seed);
+        let candidates: Vec<u16> = (1..=n_candidates as u16).collect();
+        // Every group's (score, bound): continuous scores, scores with
+        // exact ties, or all zeros; bounds of slack, +∞, NaN, or exactly
+        // the score.
+        let mut table: HashMap<Vec<u16>, (f64, f64)> = HashMap::new();
+        for &a in &candidates {
+            for &b in &candidates {
+                let group = if slots == 1 { vec![0, a] } else if a != b { vec![0, a, b] } else { continue };
+                let score = match style {
+                    0 => rng.uniform(0.0, 10.0),
+                    1 => f64::from(rng.next_u64() as u32 % 3),
+                    _ => 0.0,
+                };
+                let bound = match rng.next_u64() % 4 {
+                    0 => score + rng.uniform(0.0, 5.0),
+                    1 => f64::INFINITY,
+                    2 => f64::NAN,
+                    _ => score,
+                };
+                table.insert(group, (score, bound));
+            }
+        }
+        let exhaustive = BruteForce.select(0, &candidates, slots, &mut |g| table[g].0, &mut rng);
+        let mut scored: Vec<Vec<u16>> = Vec::new();
+        let mut best = f64::NEG_INFINITY;
+        let mut scored_below_best = false;
+        let bounded = BruteForce.select_bounded(
+            0,
+            &candidates,
+            slots,
+            &mut |g| {
+                let (score, bound) = table[g];
+                scored_below_best |= bound < best;
+                scored.push(g.to_vec());
+                best = best.max(score);
+                score
+            },
+            &mut |g| table[g].1,
+            &mut rng,
+        );
+        prop_assert_eq!(&bounded, &exhaustive);
+        prop_assert!(!scored_below_best, "a group whose bound was below the running best was scored");
+        let mut distinct = scored.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), scored.len(), "a group was scored twice");
     }
 
     #[test]

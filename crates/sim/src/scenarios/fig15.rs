@@ -17,6 +17,7 @@ use iac_core::grid::{ChannelGrid, GridView};
 use iac_core::optimize::{self, ScoreScratch};
 use iac_linalg::{CMat, LinAlgError, Lu, Rng64};
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Direction of the experiment.
@@ -225,6 +226,11 @@ fn iac_slot_rates(
 ///
 /// A group whose optimisation fails (a singular link, a degenerate
 /// eigenvector) scores 0 — and is counted in [`ScoringStats::failed`].
+///
+/// [`SlotScorer::bound`] gives an upper bound on a group's score from each
+/// link's largest singular value (computed at most once per slot too), with
+/// no optimisation or decode; the brute-force policy scores only the groups
+/// whose bound can still beat the best score it has found.
 #[derive(Debug, Clone)]
 pub struct GroupScorer {
     direction: Direction15,
@@ -233,6 +239,9 @@ pub struct GroupScorer {
     /// when `known` says so for the current slot.
     inverses: Vec<CMat>,
     known: Vec<Inverse>,
+    /// Per (client, AP) likewise: the link's gain bound, once computed
+    /// this slot.
+    gains: Vec<Option<f64>>,
     lu: Lu,
     scratch: ScoreScratch,
     stats: ScoringStats,
@@ -251,6 +260,10 @@ enum Inverse {
 pub struct ScoringStats {
     /// Score requests, including partial groups (which score 0).
     pub scored: u64,
+    /// Groups whose bound was requested but which were never scored (per
+    /// slot, bound requests minus score requests: a policy bounds either
+    /// every group it scores or none).
+    pub pruned: u64,
     /// Full groups whose optimisation failed and so scored 0.
     pub failed: u64,
 }
@@ -272,6 +285,7 @@ impl GroupScorer {
             n_aps,
             inverses: vec![CMat::default(); n_clients * n_aps],
             known: vec![Inverse::Unknown; n_clients * n_aps],
+            gains: vec![None; n_clients * n_aps],
             lu: Lu::default(),
             scratch,
             stats: ScoringStats::default(),
@@ -287,18 +301,59 @@ impl GroupScorer {
     /// uplink, APs × clients on the downlink).
     pub fn slot<'a>(&'a mut self, est: &'a ChannelGrid) -> SlotScorer<'a> {
         self.known.fill(Inverse::Unknown);
-        SlotScorer { scorer: self, est }
+        self.gains.fill(None);
+        let scored_before = self.stats.scored;
+        SlotScorer {
+            scorer: self,
+            est,
+            bounded: 0,
+            scored_before,
+        }
     }
 }
 
-/// A [`GroupScorer`] bound to one slot's estimates.
+/// A [`GroupScorer`] bound to one slot's estimates. Dropping it adds the
+/// slot's pruned groups to [`ScoringStats::pruned`].
 #[derive(Debug)]
 pub struct SlotScorer<'a> {
     scorer: &'a mut GroupScorer,
     est: &'a ChannelGrid,
+    /// Bound requests this slot.
+    bounded: u64,
+    /// `scorer.stats.scored` when the slot began.
+    scored_before: u64,
+}
+
+impl Drop for SlotScorer<'_> {
+    fn drop(&mut self) {
+        let scored = self.scorer.stats.scored - self.scored_before;
+        self.scorer.stats.pruned += self.bounded.saturating_sub(scored);
+    }
 }
 
 impl SlotScorer<'_> {
+    /// An upper bound on [`score`](Self::score) of `group`, from the
+    /// largest singular value of each link its packets cross
+    /// ([`ScoreScratch::rate_bound`]); 0 for groups `score` does not
+    /// optimise (they score 0).
+    pub fn bound(&mut self, group: &[u16]) -> f64 {
+        self.bounded += 1;
+        let (&[a, b, c], 3) = (group, self.scorer.n_aps) else {
+            return 0.0;
+        };
+        let order = [a as usize, b as usize, c as usize];
+        let est = self.est;
+        let s = &mut *self.scorer;
+        s.scratch.rate_bound(|t, r| {
+            let (client, ap) = match s.direction {
+                Direction15::Uplink => (order[t], r),
+                Direction15::Downlink => (order[r], t),
+            };
+            *s.gains[client * s.n_aps + ap]
+                .get_or_insert_with(|| optimize::link_gain_bound(link(est, s.direction, client, ap)))
+        })
+    }
+
     /// Score `group` (head first): 0 for fewer than three members.
     pub fn score(&mut self, group: &[u16]) -> f64 {
         self.scorer.stats.scored += 1;
@@ -353,10 +408,7 @@ impl SlotScorer<'_> {
         let s = &mut *self.scorer;
         let i = client * s.n_aps + ap;
         if s.known[i] == Inverse::Unknown {
-            let link = match s.direction {
-                Direction15::Uplink => self.est.link(client, ap),
-                Direction15::Downlink => self.est.link(ap, client),
-            };
+            let link = link(self.est, s.direction, client, ap);
             s.known[i] = match link.inverse_into(&mut s.inverses[i], &mut s.lu) {
                 Ok(()) => Inverse::Ready,
                 Err(_) => Inverse::Singular,
@@ -366,6 +418,14 @@ impl SlotScorer<'_> {
             Inverse::Ready => Ok(()),
             _ => Err(LinAlgError::Singular),
         }
+    }
+}
+
+/// The (client, AP) link of a slot grid in `direction`.
+fn link(est: &ChannelGrid, direction: Direction15, client: usize, ap: usize) -> &CMat {
+    match direction {
+        Direction15::Uplink => est.link(client, ap),
+        Direction15::Downlink => est.link(ap, client),
     }
 }
 
@@ -453,10 +513,15 @@ pub(crate) fn run_with_stats(
                     }
                 };
                 let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
-                let mut slot_scorer = scorer.slot(&slot_est);
-                let mut score = |group: &[u16]| slot_scorer.score(group);
-                let companions =
-                    policy.select(head, &candidates, 2, &mut score, &mut policy_rng);
+                let slot_scorer = RefCell::new(scorer.slot(&slot_est));
+                let companions = policy.select_bounded(
+                    head,
+                    &candidates,
+                    2,
+                    &mut |group: &[u16]| slot_scorer.borrow_mut().score(group),
+                    &mut |group: &[u16]| slot_scorer.borrow_mut().bound(group),
+                    &mut policy_rng,
+                );
                 let mut group = vec![head];
                 group.extend(companions);
                 if group.len() == 3 {
@@ -646,6 +711,8 @@ mod tests {
         ChannelGrid::new(est.direction(), h)
     }
 
+    /// The scorer against the path it replaced, bit for bit, and its
+    /// bound against its score.
     #[test]
     fn scorer_matches_cloned_subgrid_scoring_bit_for_bit() {
         for direction in [Direction15::Uplink, Direction15::Downlink] {
@@ -663,11 +730,16 @@ mod tests {
                             }
                             let group = [a, b, c];
                             let want = cloned_subgrid_score(&est, &group, direction);
+                            let bound = slot.bound(&group);
                             let got = slot.score(&group);
                             assert_eq!(
                                 got.to_bits(),
                                 want.to_bits(),
                                 "{direction:?} slot {seed} group {group:?}: {got} vs {want}"
+                            );
+                            assert!(
+                                bound >= got,
+                                "{direction:?} slot {seed} group {group:?}: bound {bound} < score {got}"
                             );
                             expected_failures += u64::from(want == 0.0);
                         }
@@ -678,6 +750,7 @@ mod tests {
             let stats = scorer.stats();
             assert_eq!(stats.scored, 3 * 120 + 3);
             assert_eq!(stats.failed, expected_failures, "{direction:?}");
+            assert_eq!(stats.pruned, 0, "every bounded group was scored");
             assert!(stats.failed > 0, "{direction:?}: the singular link never failed a group");
         }
     }
@@ -689,6 +762,7 @@ mod tests {
                 let (_, stats) = run_with_stats(&Fig15Config::quick(seed), direction);
                 assert!(stats.scored > 0);
                 assert_eq!(stats.failed, 0, "{direction:?} seed {seed}: {stats:?}");
+                assert!(stats.pruned > 0, "{direction:?} seed {seed}: nothing pruned");
             }
         }
     }
